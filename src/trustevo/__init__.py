@@ -21,6 +21,7 @@ from .evolution import (
     EvolutionParams,
     StationaryDistribution,
     fermi_probability,
+    fixation_matrix,
     fixation_probability,
     group_payoffs,
     markov_transition_matrix,
@@ -103,6 +104,7 @@ __all__ = [
     "exact_expected_payoffs",
     "expected_rounds_from_continuation",
     "fermi_probability",
+    "fixation_matrix",
     "fixation_probability",
     "group_payoffs",
     "initial_state",

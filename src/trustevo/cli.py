@@ -54,14 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_io_options(parser):
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument("--out", default=None, help="write output to this file")
-    parser.add_argument(
-        "--format", choices=("csv",), default="csv", help="output format"
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None, help="worker threads for sweeps"
-    )
 
 
 def _add_game_options(parser):
@@ -141,6 +134,7 @@ def build_parser() -> _Parser:
     _add_game_options(simulate)
     _add_trust_options(simulate)
     _add_io_options(simulate)
+    simulate.add_argument("--seed", type=int, default=0, help="random seed")
     simulate.add_argument("--samples", type=int, default=1)
     simulate.add_argument(
         "--convention",
@@ -243,11 +237,7 @@ def _cmd_sweep(args) -> int:
         config = preset_config(args.preset)
     else:
         config = parse_config(args.config)
-    if args.seed:
-        from dataclasses import replace
-
-        config = replace(config, seed=args.seed)
-    rows = run_sweep(config, threads=args.threads)
+    rows = run_sweep(config)
     with _output(args) as out:
         write_csv(rows, out)
     return 0

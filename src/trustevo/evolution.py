@@ -12,9 +12,9 @@ distribution.
 Fixation probabilities use the standard birth-death identity: the backward
 to forward rate ratio at k mutants reduces to ``exp(-beta * delta(k))`` with
 ``delta`` the payoff advantage of the mutant, so the fixation probability is
-``1 / (1 + sum_i exp(-beta * cumsum(delta)_i))``.  The sum is evaluated
-directly when safe (which keeps neutral cases exact) and in log space when
-the exponents are large.
+``1 / (1 + sum_i exp(-beta * cumsum(delta)_i))``, evaluated for all pairs of
+a payoff table at once, directly when safe (which keeps neutral cases
+exact) and in log space when the exponents are large.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ class EvolutionParams:
             raise ParameterDomainError(
                 f"population_size must be an integer >= 2, got {n!r}"
             )
-        if self.selection_strength < 0:
+        if not 0 <= self.selection_strength < np.inf:
             raise ParameterDomainError(
-                f"selection_strength must be non-negative, got {self.selection_strength}"
+                f"selection_strength must be finite and >= 0, got {self.selection_strength}"
             )
 
 
@@ -98,56 +98,70 @@ def transition_probabilities(
     return gain, loss
 
 
-def _advantage_sums(
-    values: np.ndarray, mutant: int, resident: int, params: EvolutionParams
-) -> np.ndarray:
-    n = params.population_size
-    deltas = np.empty(n - 1)
-    for k in range(1, n):
-        pi_m, pi_r = group_payoffs(values, mutant, resident, k, n)
-        deltas[k - 1] = pi_m - pi_r
-    return np.cumsum(deltas)
+def _fixation_sums(args: np.ndarray) -> np.ndarray:
+    """``1 / (1 + sum(exp(args)))`` along the last axis; overwrites ``args``."""
+    peak = args.max(axis=-1)
+    logged = peak >= _EXP_GUARD
+    args -= np.where(logged, peak, 0.0)[..., None]
+    sums = np.exp(args, out=args).sum(axis=-1)
+    rho = 1.0 / (1.0 + sums)
+    rho[logged] = np.exp(-np.logaddexp(0.0, peak[logged] + np.log(sums[logged])))
+    return rho
 
 
-def fixation_probability(
-    values: np.ndarray, mutant: int, resident: int, params: EvolutionParams
-) -> float:
-    """Probability that a single mutant takes over a resident population."""
-    args = -params.selection_strength * _advantage_sums(
-        values, mutant, resident, params
-    )
-    peak = float(np.max(args))
-    if peak < _EXP_GUARD:
-        # Direct evaluation; in the neutral case every term is exactly 1,
-        # so the result is exactly 1/N.
-        return 1.0 / (1.0 + float(np.sum(np.exp(args))))
-    log_sum = peak + np.log(np.sum(np.exp(args - peak)))
-    return float(np.exp(-np.logaddexp(0.0, log_sum)))
+def fixation_matrix(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
+    """Entry (i, j): probability that one j-mutant takes over i-residents.
 
-
-def markov_transition_matrix(
-    values: np.ndarray, params: EvolutionParams
-) -> np.ndarray:
-    """Small-mutation chain over homogeneous states.
-
-    Row i is the resident strategy; entry (i, j) is the fixation probability
-    of a j-mutant in an i-resident population divided by the number of
-    possible mutants, so each row sums to one with the remainder on the
-    diagonal.
+    Follows ``group_payoffs`` operation for operation; the diagonal is unused.
     """
     size = values.shape[0]
     if values.shape != (size, size) or size < 2:
         raise ParameterDomainError(
             f"need a square payoff table with at least two strategies, got {values.shape}"
         )
-    matrix = np.zeros((size, size))
+    n = params.population_size
+    k = np.arange(1, n, dtype=float)
+    own = np.diagonal(values)
+    # Axis 0 is the resident r, axis 1 the mutant m, axis 2 the count k.
+    advantage = np.multiply(values.T[:, :, None], n - k)
+    advantage += (k - 1) * own[None, :, None]
+    advantage /= n - 1
+    resident = np.multiply(values[:, :, None], k)
+    resident += (n - k - 1) * own[:, None, None]
+    resident /= n - 1
+    advantage -= resident
+    args = np.cumsum(advantage, axis=-1, out=resident)
+    args *= -params.selection_strength
+    return _fixation_sums(args)
+
+
+def fixation_probability(
+    values: np.ndarray, mutant: int, resident: int, params: EvolutionParams
+) -> float:
+    """Probability that a single mutant takes over a resident population."""
+    pair = values[np.ix_((resident, mutant), (resident, mutant))]
+    return float(fixation_matrix(pair, params)[0, 1])
+
+
+def chain_from_fixation(fixation: np.ndarray) -> np.ndarray:
+    """Small-mutation chain over homogeneous states from a fixation matrix.
+
+    Row i is the resident strategy; entry (i, j) is the fixation probability
+    of a j-mutant in an i-resident population divided by the number of
+    possible mutants, so each row sums to one with the remainder on the
+    diagonal.
+    """
+    size = fixation.shape[0]
+    matrix = fixation / (size - 1)
+    np.fill_diagonal(matrix, 0.0)
     for i in range(size):
-        for j in range(size):
-            if i == j:
-                continue
-            matrix[i, j] = fixation_probability(values, j, i, params) / (size - 1)
         matrix[i, i] = 1.0 - matrix[i].sum()
     return matrix
+
+
+def markov_transition_matrix(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
+    """Small-mutation chain over the homogeneous states of a payoff table."""
+    return chain_from_fixation(fixation_matrix(values, params))
 
 
 def stationary_distribution(
@@ -165,7 +179,7 @@ def stationary_distribution(
     if transition.shape != (size, size) or size < 1:
         raise ParameterDomainError(f"transition table must be square, got {transition.shape}")
     rows = transition.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > 1e-12):
+    if not np.all(np.abs(rows - 1.0) <= 1e-12):
         raise ParameterDomainError("transition rows must each sum to 1 within 1e-12")
     if labels is None:
         labels = tuple(str(i) for i in range(size))

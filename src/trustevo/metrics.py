@@ -15,7 +15,8 @@ from .errors import ParameterDomainError
 from .evolution import (
     EvolutionParams,
     StationaryDistribution,
-    markov_transition_matrix,
+    chain_from_fixation,
+    fixation_matrix,
     stationary_distribution,
 )
 from .game_model import GameSpec
@@ -68,27 +69,30 @@ class CooperationReport:
     selfplay_indices: dict[str, float]
 
 
-def _pipeline(strategies, game, params):
-    matrix = payoff_matrix(strategies, game)
-    chain = markov_transition_matrix(matrix.values, params)
-    stat = stationary_distribution(chain, matrix.labels)
-    indices = np.array(
-        [selfplay_cooperation_index(s, game.expected_rounds) for s in strategies]
-    )
-    return stat, population_cooperation(stat.probabilities, indices), indices
-
-
 def cooperation_report(
     game: GameSpec,
     params: EvolutionParams,
     trust_threshold: int = 3,
     check_prob: float = 0.25,
 ) -> CooperationReport:
-    """Compare the classic three-strategy pool against the five-strategy one."""
-    base = (ALLC, ALLD, TFT)
-    full = base + (tuc(trust_threshold, check_prob), tud(trust_threshold))
-    stat_without, coop_without, _ = _pipeline(base, game, params)
-    stat_with, coop_with, indices = _pipeline(full, game, params)
+    """Compare the classic three-strategy pool against the five-strategy one.
+
+    Fixation depends only on the payoffs within a pair, so the classic
+    pool's chain is built from the ALLC/ALLD/TFT block of the five-strategy
+    fixation matrix.
+    """
+    full = (ALLC, ALLD, TFT, tuc(trust_threshold, check_prob), tud(trust_threshold))
+    matrix = payoff_matrix(full, game)
+    fixation = fixation_matrix(matrix.values, params)
+    stat_with = stationary_distribution(chain_from_fixation(fixation), matrix.labels)
+    stat_without = stationary_distribution(
+        chain_from_fixation(fixation[:3, :3]), matrix.labels[:3]
+    )
+    indices = np.array(
+        [selfplay_cooperation_index(s, game.expected_rounds) for s in full]
+    )
+    coop_with = population_cooperation(stat_with.probabilities, indices)
+    coop_without = population_cooperation(stat_without.probabilities, indices[:3])
     return CooperationReport(
         with_trust=coop_with,
         without_trust=coop_without,

@@ -2,25 +2,22 @@
 
 A sweep takes a base parameter set, a list of named axes, and evaluates the
 full pipeline (payoff table, fixation chain, stationary distribution,
-cooperation report) at every grid point.  Grid order is row-major in the
-listed axis order with the last axis varying fastest, and rows are written
-in that order regardless of how many workers computed them, so a sweep with
-a fixed seed is byte-identical run to run.
+cooperation report) at every grid point in turn.  Grid order is row-major in
+the listed axis order with the last axis varying fastest; nothing is random,
+so a sweep is byte-identical run to run.
 
 Config files use INI syntax: ``[game]``, ``[evolution]`` and ``[trust]``
-sections override base parameters, each key under ``[sweep]`` adds one axis,
-and ``[output]`` may pin a seed.  Axis values are either an explicit comma
-list, ``lin:start:stop:count`` or ``log:start:stop:count``.
+sections override base parameters and each key under ``[sweep]`` adds one
+axis.  Axis values are either an explicit comma list,
+``lin:start:stop:count`` or ``log:start:stop:count``.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +57,6 @@ class SweepConfig:
     trust_threshold: int = DEFAULT_TRUST_THRESHOLD
     check_prob: float = DEFAULT_CHECK_PROB
     axes: tuple[tuple[str, tuple[float, ...]], ...] = ()
-    seed: int = 0
 
     def __post_init__(self) -> None:
         seen = set()
@@ -163,7 +159,7 @@ def parse_config(path: str) -> SweepConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    known = {"game", "evolution", "trust", "sweep", "output"}
+    known = {"game", "evolution", "trust", "sweep"}
     stray = set(parser.sections()) - known
     if stray:
         raise ConfigError(f"unknown config sections: {', '.join(sorted(stray))}")
@@ -180,7 +176,6 @@ def parse_config(path: str) -> SweepConfig:
         ("game", set(_GAME_PARAMS)),
         ("evolution", set(_EVOLUTION_PARAMS)),
         ("trust", {"threshold", "check_prob"}),
-        ("output", {"seed"}),
     ):
         if parser.has_section(section):
             bad = set(parser.options(section)) - allowed
@@ -211,7 +206,6 @@ def parse_config(path: str) -> SweepConfig:
         trust_threshold=_get("trust", "threshold", int, DEFAULT_TRUST_THRESHOLD),
         check_prob=_get("trust", "check_prob", float, DEFAULT_CHECK_PROB),
         axes=tuple(axes),
-        seed=_get("output", "seed", int, 0),
     )
 
 
@@ -256,15 +250,9 @@ def evaluate_point(config: SweepConfig, overrides: Sequence[tuple[str, float]]):
     return row
 
 
-def run_sweep(config: SweepConfig, threads: Optional[int] = None) -> list[dict]:
+def run_sweep(config: SweepConfig) -> list[dict]:
     """Evaluate every grid point, in deterministic grid order."""
-    points = _grid_points(config)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(points) <= 1:
-        return [evaluate_point(config, point) for point in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda pt: evaluate_point(config, pt), points))
+    return [evaluate_point(config, point) for point in _grid_points(config)]
 
 
 def sweep_columns(rows: Sequence[dict]) -> list[str]:

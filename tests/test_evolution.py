@@ -3,7 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import trustevo.evolution as evolution
 from trustevo.errors import NumericalError, ParameterDomainError
@@ -51,6 +52,39 @@ def absorption_oracle(values, mutant, resident, params):
     return float(np.linalg.solve(system, rhs)[0])
 
 
+def scalar_chain(values, params):
+    """The chain built one fixation sum at a time, from scalar group payoffs.
+
+    The reference for the array route: the same per-k formula, cumulative
+    sum and direct or log-space evaluation, in the same operation order.
+    Also returns which branches the off-diagonal sums took.
+    """
+    n = params.population_size
+    size = values.shape[0]
+    matrix = np.zeros((size, size))
+    branches = set()
+    for i in range(size):
+        for j in range(size):
+            if i == j:
+                continue
+            deltas = np.empty(n - 1)
+            for k in range(1, n):
+                pi_m, pi_r = group_payoffs(values, j, i, k, n)
+                deltas[k - 1] = pi_m - pi_r
+            args = -params.selection_strength * np.cumsum(deltas)
+            peak = float(np.max(args))
+            if peak < evolution._EXP_GUARD:
+                branches.add("direct")
+                rho = 1.0 / (1.0 + float(np.sum(np.exp(args))))
+            else:
+                branches.add("log")
+                log_sum = peak + np.log(np.sum(np.exp(args - peak)))
+                rho = float(np.exp(-np.logaddexp(0.0, log_sum)))
+            matrix[i, j] = rho / (size - 1)
+        matrix[i, i] = 1.0 - matrix[i].sum()
+    return matrix, branches
+
+
 class TestEvolutionParams:
     def test_domain_checks(self):
         with pytest.raises(ParameterDomainError):
@@ -64,6 +98,11 @@ class TestEvolutionParams:
 
     def test_zero_selection_is_allowed(self):
         EvolutionParams(population_size=2, selection_strength=0.0)
+
+    def test_non_finite_selection_is_rejected(self):
+        for beta in (math.nan, math.inf):
+            with pytest.raises(ParameterDomainError, match="finite"):
+                EvolutionParams(population_size=100, selection_strength=beta)
 
 
 class TestFermi:
@@ -186,6 +225,35 @@ class TestMarkovChain:
         with pytest.raises(ParameterDomainError):
             markov_transition_matrix(np.zeros((1, 1)), DEFAULT_PARAMS)
 
+    @pytest.mark.parametrize("n, beta", [(2, 300.0), (3, 300.0), (100, 20.0), (1000, 2.0)])
+    def test_mixed_branches_match_the_scalar_route(self, n, beta):
+        """At these strengths some sums go to log space and some do not."""
+        params = EvolutionParams(n, beta)
+        expected, branches = scalar_chain(DEFAULT_VALUES, params)
+        assert branches == {"direct", "log"}
+        assert np.array_equal(markov_transition_matrix(DEFAULT_VALUES, params), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.integers(2, 5).flatmap(
+            lambda size: arrays(np.float64, (size, size), elements=st.floats(-10.0, 10.0))
+        ),
+        n=st.sampled_from((2, 3, 100, 1000)),
+        beta=st.floats(0.0, 50.0),
+    )
+    @example(values=DEFAULT_VALUES, n=100, beta=0.0)
+    def test_matches_the_scalar_route_bit_for_bit(self, values, n, beta):
+        params = EvolutionParams(n, beta)
+        expected, _ = scalar_chain(values, params)
+        chain = markov_transition_matrix(values, params)
+        assert np.array_equal(chain, expected)
+        size = values.shape[0]
+        for i in range(size):
+            for j in range(size):
+                if i != j:
+                    rho = fixation_probability(values, j, i, params)
+                    assert rho / (size - 1) == expected[i, j]
+
 
 class TestStationaryDistribution:
     def test_default_chain_frozen_values(self):
@@ -231,6 +299,10 @@ class TestStationaryDistribution:
     def test_rows_must_be_stochastic(self):
         with pytest.raises(ParameterDomainError, match="sum to 1"):
             stationary_distribution(np.array([[0.5, 0.4], [0.3, 0.7]]))
+
+    def test_nan_rows_are_rejected(self):
+        with pytest.raises(ParameterDomainError, match="sum to 1"):
+            stationary_distribution(np.array([[np.nan, np.nan], [0.3, 0.7]]))
 
     def test_label_wiring(self):
         matrix = np.array([[0.9, 0.1], [0.2, 0.8]])

@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from trustevo.errors import ParameterDomainError
-from trustevo.evolution import EvolutionParams
+from trustevo.evolution import (
+    EvolutionParams,
+    markov_transition_matrix,
+    stationary_distribution,
+)
 from trustevo.game_model import make_prisoners_dilemma
 from trustevo.metrics import (
     cooperation_report,
     population_cooperation,
     selfplay_cooperation_index,
 )
+from trustevo.payoffs import payoff_matrix
 from trustevo.strategies import ALLC, ALLD, TFT, tuc, tud
 
 
@@ -87,3 +92,19 @@ class TestCooperationReport:
         assert shifted.with_trust != base.with_trust
         assert shifted.without_trust == base.without_trust
         assert shifted.selfplay_indices["TUD"] == pytest.approx(0.10)
+
+    @pytest.mark.parametrize(
+        "params", [EvolutionParams(100, 0.1), EvolutionParams(2, 5.0), EvolutionParams(1000, 2.0)]
+    )
+    def test_baseline_equals_the_stand_alone_three_strategy_pipeline(self, params):
+        """The classic pool's block of the five-strategy fixation matrix
+        gives the same chain as a three-strategy table, bit for bit."""
+        rep = cooperation_report(self.GAME, params)
+        matrix = payoff_matrix((ALLC, ALLD, TFT), self.GAME)
+        chain = markov_transition_matrix(matrix.values, params)
+        alone = stationary_distribution(chain, matrix.labels)
+        assert rep.stationary_without.labels == alone.labels
+        assert np.array_equal(rep.stationary_without.probabilities, alone.probabilities)
+        assert rep.without_trust == population_cooperation(
+            alone.probabilities, np.array([1.0, 0.0, 1.0])
+        )
