@@ -10,6 +10,7 @@ mutual cooperation beats alternating unilateral defection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 from .errors import (
@@ -40,7 +41,7 @@ class GameSpec:
         value; round-by-round simulation requires an integer round count.
     enforce_dilemma
         Set to False to skip the ordering checks for exploratory non-dilemma
-        tables.  Scale, cost and round-count domains are always enforced.
+        tables.  Finiteness, scale, cost and round-count domains are always enforced.
     """
 
     temptation: float
@@ -53,6 +54,11 @@ class GameSpec:
     enforce_dilemma: InitVar[bool] = True
 
     def __post_init__(self, enforce_dilemma: bool) -> None:
+        for name in ("temptation", "reward", "punishment", "sucker",
+                     "payoff_scale", "check_cost", "expected_rounds"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterDomainError(f"{name} must be finite, got {value}")
         if not self.payoff_scale > 0:
             raise ParameterDomainError(
                 f"payoff_scale must be positive, got {self.payoff_scale}"

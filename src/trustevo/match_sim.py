@@ -2,39 +2,44 @@
 
 This module never touches the closed forms in :mod:`trustevo.payoffs`.  It
 drives the behaviour machines of :mod:`trustevo.strategies` one round at a
-time, which makes it the independent oracle for every analytic entry:
+time, which makes it the independent oracle for every analytic entry.  All
+three entry points read one round step, which gives for a joint state both
+actions and, per player, the check probability and the (payoff, next state)
+pairs without and with an observation:
 
 * :func:`play_match` rolls out one seeded match and returns the full trace.
-* :func:`exact_expected_payoffs` integrates over every possible sequence of
-  observation lotteries by dynamic programming, giving expectations that are
-  exact up to float rounding.
-* :func:`monte_carlo_payoffs` averages seeded rollouts and reports standard
-  errors, as a statistical sanity layer on top of the other two.
+* :func:`exact_expected_payoffs` weights each step outcome by its lottery
+  probability, giving expectations that are exact up to float rounding.
+* :func:`monte_carlo_payoffs` rolls out fixed blocks of ``_BLOCK`` seeded
+  samples in lockstep, the samples that share a joint state taking one step
+  together, and reports means with standard errors.
 
 Cost conventions
 ----------------
-The closed forms treat one observation as free: when a trusting TUC's
-randomly scheduled observation catches the opponent defecting, that round's
-observation carries no cost.  ``CostConvention.DETECTION_FREE`` (the default
-everywhere) reproduces that accounting.  ``CostConvention.EVERY_CHECK``
-charges each observation uniformly; the two differ only in matches where a
-trusting TUC actually catches a defection, by the detection probability
-times the cost spread over the match.  The discrepancy is documented rather
-than reconciled, and either convention can be requested explicitly.
+The closed forms treat one observation as free: the catch, in which a
+trusting TUC sees the opponent defect and its ``reverted`` flag flips.
+``CostConvention.DETECTION_FREE`` (the default everywhere) reproduces that
+accounting.  ``CostConvention.EVERY_CHECK`` charges each observation
+uniformly; the two differ only in matches with a catch, by the detection
+probability times the cost spread over the match.  The discrepancy is
+documented rather than reconciled, and either convention can be requested
+explicitly.
 
 Determinism
 -----------
-All randomness flows from numpy's PCG64 generator.  ``play_match`` with seed
-``s`` consumes one ``(rounds, 2)`` block of uniforms, column 0 for the first
-player, column 1 for the second.  ``monte_carlo_payoffs`` gives sample ``i``
-its own generator seeded with ``SeedSequence((seed, i))``, so samples are
-independent of how the loop is scheduled, and reduces in fixed sample order.
-Identical seeds therefore give bitwise-identical results.
+All randomness flows from numpy's PCG64 generator.  A match with seed ``s``
+consumes one ``(rounds, 2)`` block of uniforms, column 0 for the first
+player, column 1 for the second; a player observes when its uniform is below
+its check probability.  Monte Carlo sample ``i`` takes its block from
+``SeedSequence((seed, i))``, keeps its own payoff total round by round and
+enters the means in sample order, so identical seeds give bitwise-identical
+results, whatever the block size.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -45,20 +50,21 @@ from .errors import ParameterDomainError, StateSpaceError
 from .game_model import GameSpec
 from .strategies import (
     Action,
-    StrategyKind,
     StrategySpec,
     StrategyState,
     check_probability,
-    decides_to_check,
     initial_state,
     next_action,
     observe,
 )
 
-# Joint-state budget for the exact enumeration.  Behaviourally distinct
+# Joint-state budget for both frontier walks.  Behaviourally distinct
 # states stay in the single digits for the five supported kinds; hitting
 # this limit means a bug, not a big computation.
 _STATE_LIMIT = 256
+
+# Monte Carlo samples per lockstep rollout; bounds the draws held at once.
+_BLOCK = 1024
 
 
 class CostConvention(Enum):
@@ -104,30 +110,6 @@ class MonteCarloPayoffs:
     samples: int
 
 
-def _payoff_table(game: GameSpec) -> dict:
-    t, r, p, s = game.scaled_payoffs()
-    c, d = Action.COOPERATE, Action.DEFECT
-    return {(c, c): (r, r), (c, d): (s, t), (d, c): (t, s), (d, d): (p, p)}
-
-
-def _charged(
-    spec: StrategySpec,
-    state: StrategyState,
-    opponent_action: Action,
-    convention: CostConvention,
-) -> bool:
-    """Whether this round's observation costs anything under the convention."""
-    if convention is CostConvention.DETECTION_FREE:
-        free = (
-            spec.kind is StrategyKind.TUC
-            and state.trusting
-            and not state.reverted
-            and opponent_action is Action.DEFECT
-        )
-        return not free
-    return True
-
-
 def _resolve_rounds(game: GameSpec, rounds: Optional[int]) -> int:
     if rounds is None:
         rounds = game.simulation_rounds()
@@ -136,40 +118,100 @@ def _resolve_rounds(game: GameSpec, rounds: Optional[int]) -> int:
     return rounds
 
 
-def _run_match(spec_a, spec_b, game, rounds, convention, draws, record):
-    """Shared rollout core; ``draws`` is a rounds x 2 list of uniforms."""
-    table = _payoff_table(game)
+def _round_step(spec_a, spec_b, game, convention):
+    """``step(state_a, state_b)``: both actions and, per player, ``(prob,
+    unseen, seen)``, the check probability and the (payoff, next state) pairs
+    without and with an observation (``seen`` is None when prob is 0)."""
+    t, r, p, s = game.scaled_payoffs()
+    c, d = Action.COOPERATE, Action.DEFECT
+    table = {(c, c): (r, r), (c, d): (s, t), (d, c): (t, s), (d, d): (p, p)}
     eps = game.check_cost
-    state_a = initial_state(spec_a)
-    state_b = initial_state(spec_b)
-    total_a = 0.0
-    total_b = 0.0
-    trace = ([], [], [], [], [], []) if record else None
-    for i in range(rounds):
+    free_catch = convention is CostConvention.DETECTION_FREE
+
+    def side(spec, state, pay, opponent_action):
+        prob = check_probability(spec, state)
+        if not prob > 0.0:
+            return prob, (pay, state), None
+        after = observe(spec, state, True, opponent_action)
+        free = free_catch and after.reverted and not state.reverted
+        return prob, (pay, state), (pay if free else pay - eps, after)
+
+    def step(state_a, state_b):
         act_a = next_action(spec_a, state_a)
         act_b = next_action(spec_b, state_b)
         pay_a, pay_b = table[act_a, act_b]
-        row = draws[i]
-        check_a = decides_to_check(spec_a, state_a, row[0])
-        check_b = decides_to_check(spec_b, state_b, row[1])
-        if check_a:
-            if _charged(spec_a, state_a, act_b, convention):
-                pay_a -= eps
-            state_a = observe(spec_a, state_a, True, act_b)
-        if check_b:
-            if _charged(spec_b, state_b, act_a, convention):
-                pay_b -= eps
-            state_b = observe(spec_b, state_b, True, act_a)
-        total_a += pay_a
-        total_b += pay_b
-        if record:
-            trace[0].append(act_a)
-            trace[1].append(act_b)
-            trace[2].append(check_a)
-            trace[3].append(check_b)
-            trace[4].append(pay_a)
-            trace[5].append(pay_b)
-    return total_a / rounds, total_b / rounds, trace
+        side_a = side(spec_a, state_a, pay_a, act_b)
+        return act_a, act_b, side_a, side(spec_b, state_b, pay_b, act_a)
+
+    return step
+
+
+def _behaviour_key(spec: StrategySpec, state: StrategyState):
+    """Collapse states that cannot differ in any future behaviour.
+
+    Once ``trusting`` has latched, the trust ledger no longer influences
+    actions or observation probabilities (reversion is triggered by a caught
+    defection, not by the level), so the level is masked out of the key.
+    Pre-trust levels stay in play because they decide when trust is reached.
+    """
+    level = 0 if state.trusting else state.trust_level
+    return level, state.trusting, state.reverted, state.last_observed
+
+
+def _walk(spec_a, spec_b, rounds, mass, advance, merge):
+    """Walk the joint states for ``rounds`` rounds: ``advance(i, mass, state_a,
+    state_b)`` yields one state's successors, and those with equal behaviour
+    keys keep the first states and combine their masses with ``merge``."""
+    frontier = [(mass, initial_state(spec_a), initial_state(spec_b))]
+    for i in range(rounds):
+        successors = {}
+        for entry in frontier:
+            for mass, sa, sb in advance(i, *entry):
+                key = (_behaviour_key(spec_a, sa), _behaviour_key(spec_b, sb))
+                hit = successors.get(key)
+                successors[key] = (
+                    (mass, sa, sb) if hit is None else (merge(hit[0], mass),) + hit[1:]
+                )
+        if len(successors) > _STATE_LIMIT:
+            raise StateSpaceError(
+                f"joint state count {len(successors)} exceeded the budget; "
+                "the behaviour key has stopped collapsing states"
+            )
+        frontier = successors.values()
+
+
+def _split(prob, unseen, seen, group, column):
+    """(observed, sample mask, (payoff, next state)) per non-empty lottery part."""
+    hit = group & (column < prob)
+    parts = ((True, hit, seen), (False, group & ~hit, unseen))
+    return [part for part in parts if part[1].any()]
+
+
+def _rollout(spec_a, spec_b, game, convention, draws, trace=None):
+    """The (2, samples) payoff totals for ``draws`` of shape (samples, rounds,
+    2); ``trace`` collects each round's actions, checks and payoffs."""
+    step = _round_step(spec_a, spec_b, game, convention)
+    samples, rounds, _ = draws.shape
+    totals = np.zeros((2, samples))
+
+    def advance(i, group, sa, sb):
+        act_a, act_b, side_a, side_b = step(sa, sb)
+        for checked_a, part, (pay_a, sa2) in _split(*side_a, group, draws[:, i, 0]):
+            for checked_b, cell, (pay_b, sb2) in _split(*side_b, part, draws[:, i, 1]):
+                totals[0, cell] += pay_a
+                totals[1, cell] += pay_b
+                if trace is not None:
+                    trace.append((act_a, act_b, checked_a, checked_b, pay_a, pay_b))
+                yield cell, sa2, sb2
+
+    _walk(spec_a, spec_b, rounds, np.ones(samples, bool), advance, operator.or_)
+    return totals
+
+
+def _draws(entropy, rounds: int) -> np.ndarray:
+    """The ``(rounds, 2)`` uniforms of one seeded match."""
+    seq = np.random.SeedSequence(entropy)
+    return np.random.Generator(np.random.PCG64(seq)).random((rounds, 2))
 
 
 def play_match(
@@ -182,18 +224,9 @@ def play_match(
 ) -> MatchOutcome:
     """Roll out one seeded match and return its full trace."""
     rounds = _resolve_rounds(game, rounds)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    draws = rng.random((rounds, 2)).tolist()
-    _, _, trace = _run_match(spec_a, spec_b, game, rounds, convention, draws, True)
-    return MatchOutcome(
-        actions_a=tuple(trace[0]),
-        actions_b=tuple(trace[1]),
-        checks_a=tuple(trace[2]),
-        checks_b=tuple(trace[3]),
-        payoffs_a=tuple(trace[4]),
-        payoffs_b=tuple(trace[5]),
-        convention=convention,
-    )
+    trace = []
+    _rollout(spec_a, spec_b, game, convention, _draws(seed, rounds)[None], trace)
+    return MatchOutcome(*zip(*trace), convention)
 
 
 def monte_carlo_payoffs(
@@ -209,16 +242,17 @@ def monte_carlo_payoffs(
     rounds = _resolve_rounds(game, rounds)
     if samples < 1:
         raise ParameterDomainError(f"samples must be positive, got {samples}")
-    means_a = np.empty(samples)
-    means_b = np.empty(samples)
-    for i in range(samples):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-        draws = rng.random((rounds, 2)).tolist()
-        mean_a, mean_b, _ = _run_match(
-            spec_a, spec_b, game, rounds, convention, draws, False
+    totals = np.empty((2, samples))
+    draws = np.empty((min(samples, _BLOCK), rounds, 2))
+    for start in range(0, samples, _BLOCK):
+        block = range(start, min(start + _BLOCK, samples))
+        for j, i in enumerate(block):
+            draws[j] = _draws((seed, i), rounds)
+        totals[:, start:block.stop] = _rollout(
+            spec_a, spec_b, game, convention, draws[: len(block)]
         )
-        means_a[i] = mean_a
-        means_b[i] = mean_b
+    totals /= rounds
+    means_a, means_b = totals
     def stderr(x):
         if samples == 1:
             return 0.0
@@ -232,24 +266,13 @@ def monte_carlo_payoffs(
     )
 
 
-def _behaviour_key(spec: StrategySpec, state: StrategyState):
-    """Collapse states that cannot differ in any future behaviour.
-
-    Once ``trusting`` has latched, the trust ledger no longer influences
-    actions or observation probabilities (reversion is triggered by a caught
-    defection, not by the level), so the level is masked out of the key.
-    Pre-trust levels stay in play because they decide when trust is reached.
-    """
-    level = 0 if state.trusting else state.trust_level
-    return level, state.trusting, state.reverted, state.last_observed
-
-
-def _branches(prob: float):
-    if prob <= 0.0:
-        return ((False, 1.0),)
+def _lottery(prob, unseen, seen, weight):
+    """(weight, payoff, next state) per outcome of one observation lottery."""
+    if not prob > 0.0:
+        return ((weight, *unseen),)
     if prob >= 1.0:
-        return ((True, 1.0),)
-    return ((True, prob), (False, 1.0 - prob))
+        return ((weight, *seen),)
+    return ((weight * prob, *seen), (weight * (1.0 - prob), *unseen))
 
 
 def exact_expected_payoffs(
@@ -261,56 +284,22 @@ def exact_expected_payoffs(
 ) -> tuple[float, float]:
     """Exact expected per-round payoffs by enumerating observation lotteries.
 
-    Maintains a probability distribution over joint behaviour states and
-    advances it one round at a time, branching on each player's observation
-    lottery.  Expected payoffs accumulate branch by branch, so the result is
-    the exact expectation of :func:`play_match` over its random draws, up to
-    float rounding.
+    Advances a probability distribution over joint behaviour states one
+    round at a time, weighting each step outcome by its lottery probability,
+    so the result is the exact expectation of :func:`play_match` over its
+    random draws, up to float rounding.
     """
     rounds = _resolve_rounds(game, rounds)
-    table = _payoff_table(game)
-    eps = game.check_cost
-    state_a = initial_state(spec_a)
-    state_b = initial_state(spec_b)
-    key0 = (_behaviour_key(spec_a, state_a), _behaviour_key(spec_b, state_b))
-    population = {key0: (1.0, state_a, state_b)}
-    total_a = 0.0
-    total_b = 0.0
-    for _ in range(rounds):
-        successors = {}
-        for prob, sa, sb in population.values():
-            act_a = next_action(spec_a, sa)
-            act_b = next_action(spec_b, sb)
-            base_a, base_b = table[act_a, act_b]
-            options_a = []
-            for checks, weight in _branches(check_probability(spec_a, sa)):
-                if checks:
-                    cost = eps if _charged(spec_a, sa, act_b, convention) else 0.0
-                    options_a.append((weight, base_a - cost, observe(spec_a, sa, True, act_b)))
-                else:
-                    options_a.append((weight, base_a, sa))
-            options_b = []
-            for checks, weight in _branches(check_probability(spec_b, sb)):
-                if checks:
-                    cost = eps if _charged(spec_b, sb, act_a, convention) else 0.0
-                    options_b.append((weight, base_b - cost, observe(spec_b, sb, True, act_a)))
-                else:
-                    options_b.append((weight, base_b, sb))
-            for wa, pay_a, sa2 in options_a:
-                for wb, pay_b, sb2 in options_b:
-                    w = prob * wa * wb
-                    total_a += w * pay_a
-                    total_b += w * pay_b
-                    key = (_behaviour_key(spec_a, sa2), _behaviour_key(spec_b, sb2))
-                    hit = successors.get(key)
-                    if hit is None:
-                        successors[key] = (w, sa2, sb2)
-                    else:
-                        successors[key] = (hit[0] + w, hit[1], hit[2])
-        if len(successors) > _STATE_LIMIT:
-            raise StateSpaceError(
-                f"joint state count {len(successors)} exceeded the budget; "
-                "the behaviour key has stopped collapsing states"
-            )
-        population = successors
-    return total_a / rounds, total_b / rounds
+    step = _round_step(spec_a, spec_b, game, convention)
+    totals = [0.0, 0.0]
+
+    def advance(_, weight, sa, sb):
+        _, _, side_a, side_b = step(sa, sb)
+        for wa, pay_a, sa2 in _lottery(*side_a, weight):
+            for w, pay_b, sb2 in _lottery(*side_b, wa):
+                totals[0] += w * pay_a
+                totals[1] += w * pay_b
+                yield w, sa2, sb2
+
+    _walk(spec_a, spec_b, rounds, 1.0, advance, operator.add)
+    return totals[0] / rounds, totals[1] / rounds

@@ -43,6 +43,7 @@ _GAME_PARAMS = (
 _EVOLUTION_PARAMS = ("population", "selection_strength")
 _TRUST_PARAMS = ("trust_threshold", "check_prob")
 PARAM_NAMES = _GAME_PARAMS + _EVOLUTION_PARAMS + _TRUST_PARAMS
+_INTEGER_PARAMS = ("population", "trust_threshold")
 
 STRATEGY_ORDER = ("ALLC", "ALLD", "TFT", "TUC", "TUD")
 
@@ -69,6 +70,8 @@ class SweepConfig:
                 raise ConfigError(f"sweep axis {name!r} listed twice")
             if not values:
                 raise ConfigError(f"sweep axis {name!r} has no values")
+            if name in _INTEGER_PARAMS and not all(float(v).is_integer() for v in values):
+                raise ConfigError(f"sweep axis {name!r} takes integers, got {values}")
             seen.add(name)
 
     def base_parameters(self) -> dict[str, float]:
@@ -125,7 +128,7 @@ def preset_config(name: str) -> SweepConfig:
 
 def _parse_values(text: str, key: str) -> tuple[float, ...]:
     text = text.strip()
-    for prefix, spacer in (("lin:", np.linspace), ("log:", None)):
+    for prefix in ("lin:", "log:"):
         if text.startswith(prefix):
             parts = text[len(prefix):].split(":")
             if len(parts) != 3:

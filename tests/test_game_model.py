@@ -67,6 +67,19 @@ class TestGameSpecValidation:
         with pytest.raises(ParameterDomainError):
             make_prisoners_dilemma(expected_rounds=0.5)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["temptation", "reward", "punishment", "sucker",
+         "payoff_scale", "check_cost", "expected_rounds"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_are_rejected(self, field, value):
+        """Even with the dilemma checks off, no NaN or infinity gets in."""
+        numbers = dict(temptation=2.0, reward=1.0, punishment=0.0, sucker=-1.0)
+        numbers[field] = value
+        with pytest.raises(ParameterDomainError, match=f"{field} must be finite"):
+            GameSpec(**numbers, enforce_dilemma=False)
+
 
 class TestScaling:
     def test_scale_multiplies_table_only(self):

@@ -1,18 +1,34 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trustevo.errors import ParameterDomainError, StateSpaceError
 from trustevo.game_model import make_prisoners_dilemma
 from trustevo.match_sim import (
     CostConvention,
+    MatchOutcome,
     exact_expected_payoffs,
     monte_carlo_payoffs,
     play_match,
 )
 from trustevo.payoffs import analytic_entry
-from trustevo.strategies import ALLC, ALLD, TFT, Action, tuc, tud
+from trustevo.strategies import (
+    ALLC,
+    ALLD,
+    TFT,
+    Action,
+    StrategyKind,
+    StrategySpec,
+    decides_to_check,
+    initial_state,
+    next_action,
+    observe,
+    tuc,
+    tud,
+)
 
 C = Action.COOPERATE
 D = Action.DEFECT
@@ -170,3 +186,117 @@ class TestMonteCarlo:
         large = monte_carlo_payoffs(tuc(3, 0.25), tud(3), DEFAULT_GAME, samples=3200)
         ratio = small.stderr_a / large.stderr_a
         assert ratio == pytest.approx(math.sqrt(16), rel=0.35)
+
+
+def _reference_match(spec_a, spec_b, game, convention, draws):
+    """One match interpreted round by round from its (rounds, 2) uniforms.
+
+    Returns the trace rows (actions, checks, payoffs) and both payoff
+    totals, summed round by round.
+    """
+    t, r, p, s = game.scaled_payoffs()
+    table = {(C, C): (r, r), (C, D): (s, t), (D, C): (t, s), (D, D): (p, p)}
+
+    def charged(spec, state, opponent_action):
+        free = (
+            convention is CostConvention.DETECTION_FREE
+            and spec.kind is StrategyKind.TUC
+            and state.trusting
+            and not state.reverted
+            and opponent_action is D
+        )
+        return not free
+
+    state_a, state_b = initial_state(spec_a), initial_state(spec_b)
+    rows, total_a, total_b = [], 0.0, 0.0
+    for draw_a, draw_b in draws.tolist():
+        act_a, act_b = next_action(spec_a, state_a), next_action(spec_b, state_b)
+        pay_a, pay_b = table[act_a, act_b]
+        check_a = decides_to_check(spec_a, state_a, draw_a)
+        check_b = decides_to_check(spec_b, state_b, draw_b)
+        if check_a:
+            if charged(spec_a, state_a, act_b):
+                pay_a -= game.check_cost
+            state_a = observe(spec_a, state_a, True, act_b)
+        if check_b:
+            if charged(spec_b, state_b, act_a):
+                pay_b -= game.check_cost
+            state_b = observe(spec_b, state_b, True, act_a)
+        total_a += pay_a
+        total_b += pay_b
+        rows.append((act_a, act_b, check_a, check_b, pay_a, pay_b))
+    return rows, total_a, total_b
+
+
+def _draws(entropy, rounds):
+    seq = np.random.SeedSequence(entropy)
+    return np.random.Generator(np.random.PCG64(seq)).random((rounds, 2))
+
+
+def _reference_monte_carlo(spec_a, spec_b, game, rounds, convention, samples, seed):
+    means = np.empty((2, samples))
+    for i in range(samples):
+        _, total_a, total_b = _reference_match(
+            spec_a, spec_b, game, convention, _draws((seed, i), rounds)
+        )
+        means[:, i] = total_a / rounds, total_b / rounds
+    stderr = [
+        0.0 if samples == 1 else float(np.std(m, ddof=1) / math.sqrt(samples))
+        for m in means
+    ]
+    return (float(np.mean(means[0])), float(np.mean(means[1])), *stderr)
+
+
+@st.composite
+def _strategy_specs(draw):
+    kind = draw(st.sampled_from(list(StrategyKind)))
+    theta = draw(st.integers(1, 5))
+    if kind is StrategyKind.TUC:
+        prob = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        return tuc(theta, prob)
+    if kind is StrategyKind.TUD:
+        return tud(theta)
+    return StrategySpec(kind)
+
+
+class TestAgainstScalarReference:
+    """The lockstep rollout equals a per-sample scalar interpreter bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec_a=_strategy_specs(),
+        spec_b=_strategy_specs(),
+        rounds=st.integers(1, 60),
+        convention=st.sampled_from(list(CostConvention)),
+        samples=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        cost=st.floats(0.0, 1.0),
+    )
+    def test_rollouts_equal_the_reference(
+        self, spec_a, spec_b, rounds, convention, samples, seed, cost
+    ):
+        game = make_prisoners_dilemma(check_cost=cost, expected_rounds=rounds)
+        rows, _, _ = _reference_match(
+            spec_a, spec_b, game, convention, _draws(seed, rounds)
+        )
+        outcome = play_match(spec_a, spec_b, game, convention=convention, seed=seed)
+        assert outcome == MatchOutcome(*zip(*rows), convention)
+        mc = monte_carlo_payoffs(
+            spec_a, spec_b, game, convention=convention, samples=samples, seed=seed
+        )
+        expected = _reference_monte_carlo(
+            spec_a, spec_b, game, rounds, convention, samples, seed
+        )
+        assert (mc.mean_a, mc.mean_b, mc.stderr_a, mc.stderr_b) == expected
+
+    @pytest.mark.parametrize("convention", list(CostConvention))
+    def test_samples_across_a_block_boundary(self, convention):
+        """More samples than one lockstep block holds."""
+        game = make_prisoners_dilemma(expected_rounds=30)
+        mc = monte_carlo_payoffs(
+            tuc(2, 0.3), tud(2), game, convention=convention, samples=1100, seed=4
+        )
+        expected = _reference_monte_carlo(
+            tuc(2, 0.3), tud(2), game, 30, convention, 1100, 4
+        )
+        assert (mc.mean_a, mc.mean_b, mc.stderr_a, mc.stderr_b) == expected

@@ -82,6 +82,20 @@ class TestSweepConfigValidation:
         with pytest.raises(ConfigError, match="no values"):
             SweepConfig(game=make_prisoners_dilemma(), axes=(("check_cost", ()),))
 
+    @pytest.mark.parametrize("name", ["population", "trust_threshold"])
+    @pytest.mark.parametrize("value", [3.7, 10.5, float("nan"), float("inf")])
+    def test_integer_axes_reject_fractions(self, name, value):
+        """A fractional value would be truncated at evaluation but keep its
+        unrounded label in the CSV."""
+        with pytest.raises(ConfigError, match="takes integers"):
+            SweepConfig(game=make_prisoners_dilemma(), axes=((name, (4.0, value)),))
+
+    def test_integer_axes_accept_whole_floats(self):
+        config = SweepConfig(
+            game=make_prisoners_dilemma(), axes=(("trust_threshold", (2.0, 5.0)),)
+        )
+        assert [row["param:trust_threshold"] for row in run_sweep(config)] == [2.0, 5.0]
+
 
 class TestSweepEvaluation:
     def test_rows_match_direct_pipeline(self):
@@ -205,6 +219,8 @@ payoff_scale = log:0.1:1000:25
             "[sweep]\ncheck_cost = log:0:1:5\n",
             "[sweep]\ncheck_cost = lin:0:1:0\n",
             "[sweep]\ncheck_cost = 0.1, x\n",
+            "[sweep]\ntrust_threshold = 3.7\n",
+            "[sweep]\npopulation = 10.5\n",
         ):
             with pytest.raises(ConfigError):
                 parse_config(self.write(tmp_path, body))
@@ -338,6 +354,33 @@ class TestCliErrors:
     def test_unknown_strategy_label(self, capsys):
         assert main(["fixation", "GRIM", "ALLD"]) == 1
         assert "unknown strategy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["payoff-matrix", "--check-cost", "nan"],
+            ["payoff-matrix", "--payoff-scale", "inf"],
+            ["payoff-matrix", "--rounds", "inf"],
+            ["payoff-matrix", "--temptation", "nan"],
+            ["fixation", "TUC", "ALLD", "--check-cost", "nan"],
+            ["stationary", "--sucker=-inf"],
+            ["simulate", "TUC", "TUD", "--rounds", "inf"],
+            ["coop-report", "--check-cost", "nan"],
+        ],
+    )
+    def test_non_finite_game_inputs(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+    def test_non_finite_sweep_value(self, tmp_path, capsys):
+        path = tmp_path / "sweep.ini"
+        path.write_text("[sweep]\ncheck_cost = 0.1, nan\n")
+        assert main(["sweep", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
 
     def test_unwritable_output_path(self, capsys):
         assert main(["payoff-matrix", "--out", "/nonexistent/dir/x.csv"]) == 1
