@@ -9,6 +9,7 @@ success, 1 for configuration or usage problems, 2 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from contextlib import contextmanager
 
@@ -27,7 +28,7 @@ from .evolution import (
     markov_transition_matrix,
     stationary_distribution,
 )
-from .game_model import GameSpec
+from .game_model import GameSpec, make_prisoners_dilemma
 from .match_sim import CostConvention, monte_carlo_payoffs, play_match
 from .metrics import cooperation_report
 from .payoffs import payoff_matrix
@@ -57,20 +58,20 @@ def _add_io_options(parser):
     parser.add_argument("--out", default=None, help="write output to this file")
 
 
+_GAME_HELP = {
+    "payoff_scale": "stake scale on the table",
+    "check_cost": "cost of observing a round",
+    "expected_rounds": "expected rounds per match",
+}
+
+
 def _add_game_options(parser):
-    parser.add_argument("--temptation", type=float, default=2.0)
-    parser.add_argument("--reward", type=float, default=1.0)
-    parser.add_argument("--punishment", type=float, default=0.0)
-    parser.add_argument("--sucker", type=float, default=-1.0)
-    parser.add_argument(
-        "--payoff-scale", type=float, default=1.0, help="stake scale on the table"
-    )
-    parser.add_argument(
-        "--check-cost", type=float, default=0.25, help="cost of observing a round"
-    )
-    parser.add_argument(
-        "--rounds", type=float, default=50.0, help="expected rounds per match"
-    )
+    for name, default in dataclasses.asdict(make_prisoners_dilemma()).items():
+        flag = "rounds" if name == "expected_rounds" else name.replace("_", "-")
+        parser.add_argument(
+            f"--{flag}", dest=name, metavar=flag.replace("-", "_").upper(),
+            type=float, default=default, help=_GAME_HELP.get(name),
+        )
 
 
 def _add_evolution_options(parser):
@@ -148,15 +149,7 @@ def build_parser() -> _Parser:
 
 
 def _game_from_args(args) -> GameSpec:
-    return GameSpec(
-        temptation=args.temptation,
-        reward=args.reward,
-        punishment=args.punishment,
-        sucker=args.sucker,
-        payoff_scale=args.payoff_scale,
-        check_cost=args.check_cost,
-        expected_rounds=args.rounds,
-    )
+    return GameSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GameSpec)})
 
 
 def _strategy_set(args, which: str):

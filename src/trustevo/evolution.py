@@ -180,7 +180,11 @@ def stationary_distribution(
         raise ParameterDomainError(f"transition table must be square, got {transition.shape}")
     rows = transition.sum(axis=1)
     if not np.all(np.abs(rows - 1.0) <= 1e-12):
-        raise ParameterDomainError("transition rows must each sum to 1 within 1e-12")
+        message = "transition rows must each sum to 1 within 1e-12"
+        # Any non-finite entry fails the row sum; name the first one.
+        for i, j in np.argwhere(~np.isfinite(transition))[:1]:
+            message += f" (row {i} has non-finite entry {transition[i, j]} at column {j})"
+        raise ParameterDomainError(message)
     if labels is None:
         labels = tuple(str(i) for i in range(size))
     else:

@@ -43,8 +43,12 @@ def _rounds_until_detection(check_prob: float, phase_length: float) -> float:
         return phase_length
     if check_prob >= 1.0:
         return 1.0
-    survive = math.exp(phase_length * math.log1p(-check_prob))
-    return (1.0 - survive) / check_prob
+    decay = phase_length * math.log1p(-check_prob)
+    # 1 - exp(decay) cancels as decay nears 0 and expm1 does not; beyond
+    # 0.01 the plain form is accurate to 1e-14 and keeps its exact bits.
+    if decay > -0.01:
+        return -math.expm1(decay) / check_prob
+    return (1.0 - math.exp(decay)) / check_prob
 
 
 def _trust_threshold(row: StrategySpec, col: StrategySpec, rounds: float) -> int:

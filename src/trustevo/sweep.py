@@ -6,15 +6,22 @@ cooperation report) at every grid point in turn.  Grid order is row-major in
 the listed axis order with the last axis varying fastest; nothing is random,
 so a sweep is byte-identical run to run.
 
-Config files use INI syntax: ``[game]``, ``[evolution]`` and ``[trust]``
-sections override base parameters and each key under ``[sweep]`` adds one
-axis.  Axis values are either an explicit comma list,
-``lin:start:stop:count`` or ``log:start:stop:count``.
+The eleven base parameters are listed once, by INI section, in ``_SECTIONS``:
+the :class:`GameSpec` fields under ``[game]`` (defaults from
+:func:`make_prisoners_dilemma`), then ``[evolution]`` and ``[trust]``.  The
+INI parser, :meth:`SweepConfig.base_parameters` and :func:`evaluate_point`
+take their names from it.  A section's INI key is the parameter name without
+the section prefix (``[trust] threshold`` is ``trust_threshold``); each key
+under ``[sweep]`` is a full name and adds one axis, whose values are an
+explicit comma list, ``lin:start:stop:count`` or ``log:start:stop:count``.
+``population`` and ``trust_threshold`` take whole numbers, as base values and
+on axes alike: a fraction, NaN or infinity raises ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,18 +38,13 @@ DEFAULT_SELECTION = 0.1
 DEFAULT_TRUST_THRESHOLD = 3
 DEFAULT_CHECK_PROB = 0.25
 
-_GAME_PARAMS = (
-    "temptation",
-    "reward",
-    "punishment",
-    "sucker",
-    "payoff_scale",
-    "check_cost",
-    "expected_rounds",
-)
-_EVOLUTION_PARAMS = ("population", "selection_strength")
-_TRUST_PARAMS = ("trust_threshold", "check_prob")
-PARAM_NAMES = _GAME_PARAMS + _EVOLUTION_PARAMS + _TRUST_PARAMS
+_SECTIONS = {
+    "game": tuple(field.name for field in dataclasses.fields(GameSpec)),
+    "evolution": ("population", "selection_strength"),
+    "trust": ("trust_threshold", "check_prob"),
+}
+_GAME_PARAMS = _SECTIONS["game"]
+PARAM_NAMES = tuple(name for names in _SECTIONS.values() for name in names)
 _INTEGER_PARAMS = ("population", "trust_threshold")
 
 STRATEGY_ORDER = ("ALLC", "ALLD", "TFT", "TUC", "TUD")
@@ -70,24 +72,21 @@ class SweepConfig:
                 raise ConfigError(f"sweep axis {name!r} listed twice")
             if not values:
                 raise ConfigError(f"sweep axis {name!r} has no values")
-            if name in _INTEGER_PARAMS and not all(float(v).is_integer() for v in values):
-                raise ConfigError(f"sweep axis {name!r} takes integers, got {values}")
             seen.add(name)
+        # A fraction would be truncated at evaluation while the CSV kept its
+        # unrounded label, so integer parameters take whole values only.
+        axes = dict(self.axes)
+        for name in _INTEGER_PARAMS:
+            value = getattr(self, name)
+            for v in (value, *axes.get(name, ())):
+                if not float(v).is_integer():
+                    raise ConfigError(f"{name} takes integers, got {v}")
+            object.__setattr__(self, name, int(value))
 
     def base_parameters(self) -> dict[str, float]:
-        g = self.game
         return {
-            "temptation": g.temptation,
-            "reward": g.reward,
-            "punishment": g.punishment,
-            "sucker": g.sucker,
-            "payoff_scale": g.payoff_scale,
-            "check_cost": g.check_cost,
-            "expected_rounds": g.expected_rounds,
-            "population": self.population,
-            "selection_strength": self.selection_strength,
-            "trust_threshold": self.trust_threshold,
-            "check_prob": self.check_prob,
+            name: getattr(self.game if name in _GAME_PARAMS else self, name)
+            for name in PARAM_NAMES
         }
 
 
@@ -159,57 +158,29 @@ def _parse_values(text: str, key: str) -> tuple[float, ...]:
 def parse_config(path: str) -> SweepConfig:
     """Load a sweep configuration from an INI file."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
-    known = {"game", "evolution", "trust", "sweep"}
-    stray = set(parser.sections()) - known
+    stray = set(parser.sections()) - set(_SECTIONS) - {"sweep"}
     if stray:
         raise ConfigError(f"unknown config sections: {', '.join(sorted(stray))}")
 
-    def _get(section, key, cast, default):
-        if parser.has_option(section, key):
+    settings = SweepConfig(game=make_prisoners_dilemma()).base_parameters()
+    for section, names in _SECTIONS.items():
+        entries = parser[section] if parser.has_section(section) else {}
+        keys = {name.removeprefix(f"{section}_"): name for name in names}
+        bad = set(entries) - set(keys)
+        if bad:
+            raise ConfigError(f"unknown keys in [{section}]: {', '.join(sorted(bad))}")
+        for key, text in entries.items():
             try:
-                return cast(parser.get(section, key))
+                settings[keys[key]] = float(text)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from None
-        return default
 
-    for section, allowed in (
-        ("game", set(_GAME_PARAMS)),
-        ("evolution", set(_EVOLUTION_PARAMS)),
-        ("trust", {"threshold", "check_prob"}),
-    ):
-        if parser.has_section(section):
-            bad = set(parser.options(section)) - allowed
-            if bad:
-                raise ConfigError(
-                    f"unknown keys in [{section}]: {', '.join(sorted(bad))}"
-                )
-
-    game = GameSpec(
-        temptation=_get("game", "temptation", float, 2.0),
-        reward=_get("game", "reward", float, 1.0),
-        punishment=_get("game", "punishment", float, 0.0),
-        sucker=_get("game", "sucker", float, -1.0),
-        payoff_scale=_get("game", "payoff_scale", float, 1.0),
-        check_cost=_get("game", "check_cost", float, 0.25),
-        expected_rounds=_get("game", "expected_rounds", float, 50.0),
-    )
-    axes = []
-    if parser.has_section("sweep"):
-        for key in parser.options("sweep"):
-            axes.append((key, _parse_values(parser.get("sweep", key), key)))
-    return SweepConfig(
-        game=game,
-        population=_get("evolution", "population", int, DEFAULT_POPULATION),
-        selection_strength=_get(
-            "evolution", "selection_strength", float, DEFAULT_SELECTION
-        ),
-        trust_threshold=_get("trust", "threshold", int, DEFAULT_TRUST_THRESHOLD),
-        check_prob=_get("trust", "check_prob", float, DEFAULT_CHECK_PROB),
-        axes=tuple(axes),
-    )
+    sweep = parser["sweep"] if parser.has_section("sweep") else {}
+    axes = tuple((key, _parse_values(text, key)) for key, text in sweep.items())
+    game = GameSpec(**{name: settings.pop(name) for name in _GAME_PARAMS})
+    return SweepConfig(game=game, axes=axes, **settings)
 
 
 def _grid_points(config: SweepConfig):
@@ -222,17 +193,8 @@ def _grid_points(config: SweepConfig):
 def evaluate_point(config: SweepConfig, overrides: Sequence[tuple[str, float]]):
     """Run the full pipeline for one grid point and return its row dict."""
     settings = config.base_parameters()
-    for name, value in overrides:
-        settings[name] = value
-    game = GameSpec(
-        temptation=settings["temptation"],
-        reward=settings["reward"],
-        punishment=settings["punishment"],
-        sucker=settings["sucker"],
-        payoff_scale=settings["payoff_scale"],
-        check_cost=settings["check_cost"],
-        expected_rounds=settings["expected_rounds"],
-    )
+    settings.update(overrides)
+    game = GameSpec(**{name: settings[name] for name in _GAME_PARAMS})
     params = EvolutionParams(
         population_size=int(settings["population"]),
         selection_strength=settings["selection_strength"],

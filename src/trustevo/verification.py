@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .game_model import GameSpec
+from .game_model import make_prisoners_dilemma
 from .match_sim import exact_expected_payoffs
 from .payoffs import analytic_entry
 from .strategies import ALLC, ALLD, TFT, tuc, tud
@@ -78,11 +78,7 @@ def run_oracle_verification(tolerance: float = TOLERANCE) -> OracleReport:
                 strategies = (ALLC, ALLD, TFT, tuc(theta, check_prob), tud(theta))
                 for cost in GRID_CHECK_COSTS:
                     for scale in GRID_SCALES:
-                        game = GameSpec(
-                            temptation=2.0,
-                            reward=1.0,
-                            punishment=0.0,
-                            sucker=-1.0,
+                        game = make_prisoners_dilemma(
                             payoff_scale=scale,
                             check_cost=cost,
                             expected_rounds=float(rounds),

@@ -304,6 +304,17 @@ class TestStationaryDistribution:
         with pytest.raises(ParameterDomainError, match="sum to 1"):
             stationary_distribution(np.array([[np.nan, np.nan], [0.3, 0.7]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_named(self, bad):
+        """The row-sum failure names the first non-finite entry and its place."""
+        matrix = np.array([[0.5, 0.5], [0.5, 0.5]])
+        matrix[1, 0] = bad
+        with pytest.raises(
+            ParameterDomainError,
+            match=rf"sum to 1.*\(row 1 has non-finite entry {bad} at column 0\)",
+        ):
+            stationary_distribution(matrix)
+
     def test_label_wiring(self):
         matrix = np.array([[0.9, 0.1], [0.2, 0.8]])
         sd = stationary_distribution(matrix, ("A", "B"))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trustevo.errors import ParameterDomainError, StateSpaceError
-from trustevo.game_model import make_prisoners_dilemma
+from trustevo.game_model import GameSpec, make_prisoners_dilemma
 from trustevo.match_sim import (
     CostConvention,
     MatchOutcome,
@@ -29,6 +29,7 @@ from trustevo.strategies import (
     tuc,
     tud,
 )
+from trustevo.verification import _tolerance_ratio
 
 C = Action.COOPERATE
 D = Action.DEFECT
@@ -144,6 +145,52 @@ class TestExactEnumeration:
                 row, col, DEFAULT_GAME, convention=CostConvention.EVERY_CHECK
             )
             assert free == paid
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        reward=st.floats(-5.0, 5.0),
+        gaps=st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 5.0)),
+        share=st.floats(0.01, 0.99),
+        theta_rounds=st.integers(1, 9).flatmap(
+            lambda theta: st.tuples(st.just(theta), st.integers(theta + 1, 60))
+        ),
+        prob=st.one_of(
+            st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-9]),
+            st.floats(1e-12, 1.0),
+            st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+        ),
+        cost=st.floats(0.0, 2.0),
+        log_scale=st.floats(-2.0, 2.0),
+    )
+    def test_matches_closed_forms_off_the_grid(
+        self, reward, gaps, share, theta_rounds, prob, cost, log_scale
+    ):
+        """Both routes agree within 1e-10 on all 25 ordered pairs at random
+        dilemma tables, thresholds, round counts, costs and scales.
+
+        Check probabilities in (0, 1e-12) are not drawn: the closed forms
+        replace them by p = 0, which ``test_continuity_as_check_prob_vanishes``
+        pins, and that limit is off by more than 1e-10 on large stakes.
+        """
+        # R - P = a and P - S = b; T - R = share * (a + b) keeps 2R > T + S.
+        a, b = gaps
+        theta, rounds = theta_rounds
+        game = GameSpec(
+            temptation=reward + share * (a + b),
+            reward=reward,
+            punishment=reward - a,
+            sucker=reward - a - b,
+            payoff_scale=10.0**log_scale,
+            check_cost=cost,
+            expected_rounds=float(rounds),
+        )
+        strategies = (ALLC, ALLD, TFT, tuc(theta, prob), tud(theta))
+        for row, col in itertools.product(strategies, repeat=2):
+            exact, _ = exact_expected_payoffs(row, col, game, rounds=rounds)
+            predicted = analytic_entry(row, col, game)
+            assert _tolerance_ratio(predicted, exact, 1e-10) <= 1.0, (
+                row.label, col.label, predicted, exact,
+            )
 
     def test_state_budget_guard(self, monkeypatch):
         import trustevo.match_sim as match_sim

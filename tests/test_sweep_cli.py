@@ -1,17 +1,22 @@
+import dataclasses
 import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trustevo.cli import main
+from trustevo.cli import _game_from_args, build_parser, main
 from trustevo.errors import ConfigError
 from trustevo.evolution import EvolutionParams, fixation_probability
-from trustevo.game_model import make_prisoners_dilemma
+from trustevo.game_model import GameSpec, make_prisoners_dilemma
 from trustevo.match_sim import monte_carlo_payoffs
 from trustevo.payoffs import payoff_matrix
 from trustevo.strategies import ALLC, ALLD, TFT, tuc, tud
 from trustevo.sweep import (
+    DEFAULT_CHECK_PROB,
+    DEFAULT_POPULATION,
+    DEFAULT_SELECTION,
+    DEFAULT_TRUST_THRESHOLD,
     SweepConfig,
     format_value,
     parse_config,
@@ -89,6 +94,14 @@ class TestSweepConfigValidation:
         unrounded label in the CSV."""
         with pytest.raises(ConfigError, match="takes integers"):
             SweepConfig(game=make_prisoners_dilemma(), axes=((name, (4.0, value)),))
+
+    @pytest.mark.parametrize("name", ["population", "trust_threshold"])
+    @pytest.mark.parametrize("value", [3.7, 10.5, float("nan"), float("inf")])
+    def test_integer_base_values_reject_fractions(self, name, value):
+        """A fractional base value would be truncated at evaluation but keep
+        its unrounded label in the CSV."""
+        with pytest.raises(ConfigError, match="takes integers"):
+            SweepConfig(game=make_prisoners_dilemma(), **{name: value})
 
     def test_integer_axes_accept_whole_floats(self):
         config = SweepConfig(
@@ -188,6 +201,43 @@ payoff_scale = log:0.1:1000:25
         assert name == "payoff_scale"
         assert np.allclose(scales, np.logspace(-1, 3, 25))
 
+    def test_whole_float_base_values_parse_to_ints(self, tmp_path):
+        path = self.write(
+            tmp_path, "[evolution]\npopulation = 100.0\n[trust]\nthreshold = 3.0\n"
+        )
+        config = parse_config(path)
+        assert config.trust_threshold == 3 and type(config.trust_threshold) is int
+        assert config.population == 100 and type(config.population) is int
+
+    def test_every_base_parameter_once(self, tmp_path):
+        """Each INI key lands on its own field, under its own section."""
+        path = self.write(tmp_path, """
+[game]
+temptation = 3.5
+reward = 2.5
+punishment = 0.5
+sucker = -0.5
+payoff_scale = 4.0
+check_cost = 0.3
+expected_rounds = 30
+
+[evolution]
+population = 40
+selection_strength = 0.05
+
+[trust]
+threshold = 6
+check_prob = 0.6
+""")
+        game = GameSpec(
+            temptation=3.5, reward=2.5, punishment=0.5, sucker=-0.5,
+            payoff_scale=4.0, check_cost=0.3, expected_rounds=30.0,
+        )
+        assert parse_config(path) == SweepConfig(
+            game=game, population=40, selection_strength=0.05,
+            trust_threshold=6, check_prob=0.6,
+        )
+
     def test_linear_spacing(self, tmp_path):
         path = self.write(tmp_path, "[sweep]\nreward = lin:1:2:5\n")
         config = parse_config(path)
@@ -221,6 +271,8 @@ payoff_scale = log:0.1:1000:25
             "[sweep]\ncheck_cost = 0.1, x\n",
             "[sweep]\ntrust_threshold = 3.7\n",
             "[sweep]\npopulation = 10.5\n",
+            "[trust]\nthreshold = 3.7\n",
+            "[evolution]\npopulation = 10.5\n",
         ):
             with pytest.raises(ConfigError):
                 parse_config(self.write(tmp_path, body))
@@ -281,6 +333,55 @@ class TestCliTables:
         assert main(["payoff-matrix", "--out", str(target)]) == 0
         assert capsys.readouterr().out == ""
         assert target.read_text().startswith(",ALLC")
+
+
+GAME_COMMANDS = {
+    "payoff-matrix": [],
+    "fixation": ["TUC", "ALLD"],
+    "stationary": [],
+    "coop-report": [],
+    "simulate": ["TUC", "TUD"],
+}
+
+
+class TestCliOptions:
+    @pytest.mark.parametrize("command", GAME_COMMANDS)
+    def test_defaults_come_from_the_library(self, command):
+        args = build_parser().parse_args([command, *GAME_COMMANDS[command]])
+        game = make_prisoners_dilemma()
+        assert _game_from_args(args) == game
+        for name, value in dataclasses.asdict(game).items():
+            assert getattr(args, name) == value, name
+        assert (args.trust_threshold, args.check_prob) == (
+            DEFAULT_TRUST_THRESHOLD, DEFAULT_CHECK_PROB,
+        )
+        if command not in ("payoff-matrix", "simulate"):
+            assert (args.population, args.selection) == (
+                DEFAULT_POPULATION, DEFAULT_SELECTION,
+            )
+
+    @pytest.mark.parametrize("command", GAME_COMMANDS)
+    def test_help_names_the_game_options(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        for text in (
+            "--rounds ROUNDS",
+            "--payoff-scale PAYOFF_SCALE",
+            "stake scale on the table",
+            "cost of observing a round",
+            "expected rounds per match",
+        ):
+            assert text in out
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    def test_help_without_game_options(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert "--rounds" not in capsys.readouterr().out
 
 
 class TestCliSweep:
