@@ -28,7 +28,6 @@ from .evolution import (
     simulate_fixation,
     stationary_distribution,
     stationary_distribution_power,
-    transition_probabilities,
 )
 from .game_model import (
     GameSpec,
@@ -60,7 +59,6 @@ from .strategies import (
     StrategySpec,
     StrategyState,
     check_probability,
-    decides_to_check,
     initial_state,
     next_action,
     observe,
@@ -100,7 +98,6 @@ __all__ = [
     "analytic_entry",
     "check_probability",
     "cooperation_report",
-    "decides_to_check",
     "exact_expected_payoffs",
     "expected_rounds_from_continuation",
     "fermi_probability",
@@ -126,7 +123,6 @@ __all__ = [
     "stationary_distribution",
     "stationary_distribution_power",
     "strategy_from_label",
-    "transition_probabilities",
     "tuc",
     "tud",
 ]

@@ -241,8 +241,6 @@ def _cmd_simulate(args) -> int:
     first = strategy_from_label(args.first, args.trust_threshold, args.check_prob)
     second = strategy_from_label(args.second, args.trust_threshold, args.check_prob)
     convention = CostConvention(args.convention)
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be positive, got {args.samples}")
     if args.samples == 1:
         outcome = play_match(first, second, game, convention=convention, seed=args.seed)
         with _output(args) as out:

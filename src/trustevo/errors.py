@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check."""
 
 
 class ParameterDomainError(ValueError):
@@ -27,3 +27,10 @@ class NumericalError(RuntimeError):
 
 class ConfigError(ValueError):
     """A sweep configuration file or CLI invocation is malformed."""
+
+
+def require_int(name: str, value, minimum: int):
+    """``value`` if it is an int of at least ``minimum``; bool is refused."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ParameterDomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value

@@ -15,6 +15,13 @@ to forward rate ratio at k mutants reduces to ``exp(-beta * delta(k))`` with
 ``1 / (1 + sum_i exp(-beta * cumsum(delta)_i))``, evaluated for all pairs of
 a payoff table at once, directly when safe (which keeps neutral cases
 exact) and in log space when the exponents are large.
+
+``simulate_fixation`` is the stochastic check of those probabilities.  Each
+call draws binomials from one PCG64 stream seeded by its ``seed``; this
+stream replaced one uniform per run per step, so frequencies differ from
+those of earlier versions for the same seed.  Binomial sampling evaluates
+libm functions, so a seed reproduces its frequency bit for bit on one
+platform and numpy version, not across platforms.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ParameterDomainError
+from .errors import NumericalError, ParameterDomainError, require_int
 
 # Largest exponent fed to exp() before the fixation sum switches to its
 # log-space evaluation; exp overflows near 709.
@@ -39,11 +46,7 @@ class EvolutionParams:
     selection_strength: float
 
     def __post_init__(self) -> None:
-        n = self.population_size
-        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-            raise ParameterDomainError(
-                f"population_size must be an integer >= 2, got {n!r}"
-            )
+        require_int("population_size", self.population_size, 2)
         if not 0 <= self.selection_strength < np.inf:
             raise ParameterDomainError(
                 f"selection_strength must be finite and >= 0, got {self.selection_strength}"
@@ -83,19 +86,6 @@ def fermi_probability(payoff_diff: float, beta: float) -> float:
         return 1.0 / (1.0 + np.exp(-x))
     e = np.exp(x)
     return float(e / (1.0 + e))
-
-
-def transition_probabilities(
-    values: np.ndarray, a: int, b: int, k: int, params: EvolutionParams
-) -> tuple[float, float]:
-    """Per-step probabilities that the count of A-players rises or falls."""
-    n = params.population_size
-    beta = params.selection_strength
-    pi_a, pi_b = group_payoffs(values, a, b, k, n)
-    pick = (n - k) * k / (n * n)
-    gain = pick * fermi_probability(pi_a - pi_b, beta)
-    loss = pick * fermi_probability(pi_b - pi_a, beta)
-    return gain, loss
 
 
 def _fixation_sums(args: np.ndarray) -> np.ndarray:
@@ -253,27 +243,33 @@ def simulate_fixation(
     Plays the embedded jump chain of the imitation process: waiting rounds
     in which the mutant count does not change have no effect on which
     absorbing state is reached, so each step moves up with probability
-    ``gain / (gain + loss)``, which is the Fermi probability itself.  All
-    runs advance in lockstep on vectorised draws, one uniform per run per
-    step, so a fixed seed gives identical frequencies on every platform.
+    ``gain / (gain + loss)``, which is the Fermi probability itself.  The
+    runs are independent copies of one chain, so the state is the number of
+    runs at each mutant count 0..N, and one binomial draw per count moves
+    the runs at counts 1..N-1 up, the rest down.  The returned frequency has
+    the distribution of ``runs`` separate chains.  All draws come from one
+    PCG64 stream seeded by ``seed``.
     """
-    if runs < 1:
-        raise ParameterDomainError(f"runs must be positive, got {runs}")
+    require_int("runs", runs, 1)
+    require_int("seed", seed, 0)
     n = params.population_size
     beta = params.selection_strength
-    up = np.empty(n + 1)
+    up = np.empty(n - 1)
     for k in range(1, n):
         pi_m, pi_r = group_payoffs(values, mutant, resident, k, n)
-        up[k] = fermi_probability(pi_m - pi_r, beta)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    counts = np.ones(runs, dtype=np.int64)
+        up[k - 1] = fermi_probability(pi_m - pi_r, beta)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    runs_at = np.zeros(n + 1, dtype=np.int64)
+    runs_at[1] = runs
     # Absorption from one mutant takes O(N) jumps in expectation; the cap
     # only exists to turn a logic error into a loud failure.
     for _ in range(1000 * n * n + 100_000):
-        active = (counts > 0) & (counts < n)
-        if not active.any():
-            return float(np.mean(counts == n))
-        draws = rng.random(runs)
-        step = np.where(draws < up[np.clip(counts, 1, n - 1)], 1, -1)
-        counts = np.where(active, counts + step, counts)
+        moving = runs_at[1:n]
+        if not moving.any():
+            return float(runs_at[n] / runs)
+        rising = rng.binomial(moving, up)
+        falling = moving - rising
+        moving[:] = 0
+        runs_at[2:] += rising
+        runs_at[:-2] += falling
     raise NumericalError("fixation simulation failed to absorb all runs")

@@ -10,8 +10,8 @@ pairs without and with an observation:
 * :func:`play_match` rolls out one seeded match and returns the full trace.
 * :func:`exact_expected_payoffs` weights each step outcome by its lottery
   probability, giving expectations that are exact up to float rounding.
-* :func:`monte_carlo_payoffs` rolls out fixed blocks of ``_BLOCK`` seeded
-  samples in lockstep, the samples that share a joint state taking one step
+* :func:`monte_carlo_payoffs` rolls out fixed blocks of ``_BLOCK`` samples
+  in lockstep, the samples that share a joint state taking one step
   together, and reports means with standard errors.
 
 Cost conventions
@@ -27,13 +27,16 @@ explicitly.
 
 Determinism
 -----------
-All randomness flows from numpy's PCG64 generator.  A match with seed ``s``
-consumes one ``(rounds, 2)`` block of uniforms, column 0 for the first
-player, column 1 for the second; a player observes when its uniform is below
-its check probability.  Monte Carlo sample ``i`` takes its block from
-``SeedSequence((seed, i))``, keeps its own payoff total round by round and
-enters the means in sample order, so identical seeds give bitwise-identical
-results, whatever the block size.
+Each call draws from one ``np.random.Generator(np.random.PCG64(seed))``.
+A match consumes one ``(rounds, 2)`` block of uniforms, column 0 for the
+first player, column 1 for the second; a player observes when its uniform is
+below its check probability.  Monte Carlo sample ``i`` takes the ``i``-th
+such block of the stream, so sample 0 is :func:`play_match` with the same
+seed, keeps its own payoff total round by round and enters the means in
+sample order.  Identical seeds therefore give bitwise-identical results,
+whatever the block size.  Before this single stream, sample ``i`` drew from
+``SeedSequence((seed, i))``: match traces are unchanged, while estimates
+over more than one sample differ from those of earlier versions.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterDomainError, StateSpaceError
+from .errors import StateSpaceError, require_int
 from .game_model import GameSpec
 from .strategies import (
     Action,
@@ -113,9 +116,11 @@ class MonteCarloPayoffs:
 def _resolve_rounds(game: GameSpec, rounds: Optional[int]) -> int:
     if rounds is None:
         rounds = game.simulation_rounds()
-    if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 1:
-        raise ParameterDomainError(f"rounds must be a positive integer, got {rounds!r}")
-    return rounds
+    return require_int("rounds", rounds, 1)
+
+
+def _generator(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(require_int("seed", seed, 0)))
 
 
 def _round_step(spec_a, spec_b, game, convention):
@@ -208,12 +213,6 @@ def _rollout(spec_a, spec_b, game, convention, draws, trace=None):
     return totals
 
 
-def _draws(entropy, rounds: int) -> np.ndarray:
-    """The ``(rounds, 2)`` uniforms of one seeded match."""
-    seq = np.random.SeedSequence(entropy)
-    return np.random.Generator(np.random.PCG64(seq)).random((rounds, 2))
-
-
 def play_match(
     spec_a: StrategySpec,
     spec_b: StrategySpec,
@@ -224,8 +223,9 @@ def play_match(
 ) -> MatchOutcome:
     """Roll out one seeded match and return its full trace."""
     rounds = _resolve_rounds(game, rounds)
+    draws = _generator(seed).random((1, rounds, 2))
     trace = []
-    _rollout(spec_a, spec_b, game, convention, _draws(seed, rounds)[None], trace)
+    _rollout(spec_a, spec_b, game, convention, draws, trace)
     return MatchOutcome(*zip(*trace), convention)
 
 
@@ -238,18 +238,16 @@ def monte_carlo_payoffs(
     samples: int = 1000,
     seed: int = 0,
 ) -> MonteCarloPayoffs:
-    """Average seeded rollouts; sample i draws from SeedSequence((seed, i))."""
+    """Average seeded rollouts; sample i is the i-th match of one stream."""
     rounds = _resolve_rounds(game, rounds)
-    if samples < 1:
-        raise ParameterDomainError(f"samples must be positive, got {samples}")
+    require_int("samples", samples, 1)
+    rng = _generator(seed)
     totals = np.empty((2, samples))
     draws = np.empty((min(samples, _BLOCK), rounds, 2))
     for start in range(0, samples, _BLOCK):
-        block = range(start, min(start + _BLOCK, samples))
-        for j, i in enumerate(block):
-            draws[j] = _draws((seed, i), rounds)
-        totals[:, start:block.stop] = _rollout(
-            spec_a, spec_b, game, convention, draws[: len(block)]
+        block = rng.random(out=draws[: samples - start])
+        totals[:, start : start + len(block)] = _rollout(
+            spec_a, spec_b, game, convention, block
         )
     totals /= rounds
     means_a, means_b = totals

@@ -26,12 +26,6 @@ from .errors import ParameterDomainError
 from .game_model import GameSpec
 from .strategies import TRUST_KINDS, StrategyKind, StrategySpec
 
-# Below this, the post-trust detection lottery is treated as its p -> 0
-# limit, where the expected number of rounds up to detection is the whole
-# phase (detection never happens).
-_P_LIMIT = 1e-12
-
-
 def _rounds_until_detection(check_prob: float, phase_length: float) -> float:
     """Expected rounds of the post-trust phase up to and including detection.
 
@@ -39,15 +33,19 @@ def _rounds_until_detection(check_prob: float, phase_length: float) -> float:
     sum_{i=0}^{n-1} (1-p)^i = (1 - (1-p)^n) / p, which tends to n as p -> 0.
     The expected number of rounds lived after detection is n minus this.
     """
-    if check_prob < _P_LIMIT:
+    if check_prob == 0.0:
         return phase_length
     if check_prob >= 1.0:
         return 1.0
-    decay = phase_length * math.log1p(-check_prob)
+    rate = math.log1p(-check_prob)
+    decay = phase_length * rate
     # 1 - exp(decay) cancels as decay nears 0 and expm1 does not; beyond
     # 0.01 the plain form is accurate to 1e-14 and keeps its exact bits.
+    # Near 0, decay / p is taken as phase * (rate / p), which a subnormal p
+    # leaves exact, and expm1(decay) / decay tends to 1 as decay underflows.
     if decay > -0.01:
-        return -math.expm1(decay) / check_prob
+        shrink = math.expm1(decay) / decay if decay else 1.0
+        return phase_length * shrink * (-rate / check_prob)
     return (1.0 - math.exp(decay)) / check_prob
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .errors import ContractViolationError, ParameterDomainError
+from .errors import ContractViolationError, ParameterDomainError, require_int
 
 
 class Action(Enum):
@@ -60,11 +60,7 @@ class StrategySpec:
 
     def __post_init__(self) -> None:
         if self.kind in TRUST_KINDS:
-            t = self.trust_threshold
-            if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-                raise ParameterDomainError(
-                    f"{self.kind.value} needs an integer trust_threshold >= 1, got {t!r}"
-                )
+            require_int(f"{self.kind.value} trust_threshold", self.trust_threshold, 1)
         else:
             if self.trust_threshold is not None:
                 raise ParameterDomainError(
@@ -158,11 +154,6 @@ def check_probability(spec: StrategySpec, state: StrategyState) -> float:
     if kind is StrategyKind.TUD:
         return 0.0 if state.trusting else 1.0
     return 1.0
-
-
-def decides_to_check(spec: StrategySpec, state: StrategyState, draw: float) -> bool:
-    """Resolve this round's observation decision with a uniform [0, 1) draw."""
-    return draw < check_probability(spec, state)
 
 
 def observe(

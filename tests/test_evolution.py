@@ -17,7 +17,6 @@ from trustevo.evolution import (
     simulate_fixation,
     stationary_distribution,
     stationary_distribution_power,
-    transition_probabilities,
 )
 from trustevo.game_model import make_prisoners_dilemma
 from trustevo.payoffs import payoff_matrix
@@ -36,11 +35,15 @@ def absorption_oracle(values, mutant, resident, params):
     before 0 from a single mutant.
     """
     n = params.population_size
+    beta = params.selection_strength
     size = n - 1
     system = np.zeros((size, size))
     rhs = np.zeros(size)
     for k in range(1, n):
-        gain, loss = transition_probabilities(values, mutant, resident, k, params)
+        pi_m, pi_r = group_payoffs(values, mutant, resident, k, n)
+        pick = (n - k) * k / (n * n)
+        gain = pick * fermi_probability(pi_m - pi_r, beta)
+        loss = pick * fermi_probability(pi_r - pi_m, beta)
         i = k - 1
         system[i, i] = gain + loss
         if k + 1 <= n - 1:
@@ -156,21 +159,6 @@ class TestGroupPayoffs:
             group_payoffs(self.VALUES, 0, 1, k=0, n=100)
         with pytest.raises(ParameterDomainError):
             group_payoffs(self.VALUES, 0, 1, k=100, n=100)
-
-
-class TestTransitionProbabilities:
-    def test_gain_and_loss_split_the_interaction_probability(self):
-        values = DEFAULT_VALUES
-        for k in (1, 17, 50, 99):
-            gain, loss = transition_probabilities(values, 3, 1, k, DEFAULT_PARAMS)
-            pick = (100 - k) * k / 100**2
-            assert gain + loss == pytest.approx(pick, abs=1e-15)
-            assert gain >= 0 and loss >= 0
-
-    def test_neutral_selection_splits_evenly(self):
-        params = EvolutionParams(100, 0.0)
-        gain, loss = transition_probabilities(DEFAULT_VALUES, 3, 1, 40, params)
-        assert gain == loss
 
 
 class TestFixationProbability:
@@ -345,3 +333,20 @@ class TestSimulateFixation:
     def test_runs_validation(self):
         with pytest.raises(ParameterDomainError):
             simulate_fixation(DEFAULT_VALUES, 3, 1, DEFAULT_PARAMS, runs=0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_smallest_populations(self, n, beta):
+        """N = 2 has one moving count and N = 3 two; at beta = 0 every
+        mutant fixes with probability 1/N."""
+        params = EvolutionParams(n, beta)
+        runs = 20_000
+        for mutant, resident in ((3, 1), (1, 0), (0, 1), (4, 2)):
+            rho = fixation_probability(DEFAULT_VALUES, mutant, resident, params)
+            if beta == 0.0:
+                assert rho == 1.0 / n
+            freq = simulate_fixation(
+                DEFAULT_VALUES, mutant, resident, params, runs=runs, seed=n
+            )
+            sigma = math.sqrt(rho * (1 - rho) / runs)
+            assert abs(freq - rho) < 4 * sigma, (mutant, resident, freq, rho)

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import trustevo.match_sim as match_sim
 from trustevo.errors import ParameterDomainError, StateSpaceError
+from trustevo.evolution import EvolutionParams, simulate_fixation
 from trustevo.game_model import GameSpec, make_prisoners_dilemma
 from trustevo.match_sim import (
     CostConvention,
@@ -22,7 +24,7 @@ from trustevo.strategies import (
     Action,
     StrategyKind,
     StrategySpec,
-    decides_to_check,
+    check_probability,
     initial_state,
     next_action,
     observe,
@@ -105,6 +107,40 @@ class TestPlayMatch:
             play_match(ALLC, ALLD, DEFAULT_GAME, rounds=2.5)
 
 
+_BAD_COUNTS = [-1, 0, 2.5, True]
+_BAD_SEEDS = [-1, 2.5, True]
+_PARAMS = EvolutionParams(10, 0.1)
+_ORACLES = {
+    "play_match": lambda seed=0: play_match(tuc(3, 0.25), tud(3), DEFAULT_GAME, seed=seed),
+    "monte_carlo_payoffs": lambda samples=3, seed=0: monte_carlo_payoffs(
+        tuc(3, 0.25), tud(3), DEFAULT_GAME, samples=samples, seed=seed
+    ),
+    "simulate_fixation": lambda runs=3, seed=0: simulate_fixation(
+        np.eye(2), 1, 0, _PARAMS, runs=runs, seed=seed
+    ),
+}
+
+
+class TestOracleArguments:
+    @pytest.mark.parametrize("oracle", sorted(_ORACLES))
+    @pytest.mark.parametrize("seed", _BAD_SEEDS)
+    def test_seed_must_be_a_non_negative_int(self, oracle, seed):
+        with pytest.raises(ParameterDomainError, match="seed"):
+            _ORACLES[oracle](seed=seed)
+
+    @pytest.mark.parametrize("oracle, name", [
+        ("monte_carlo_payoffs", "samples"), ("simulate_fixation", "runs"),
+    ])
+    @pytest.mark.parametrize("count", _BAD_COUNTS)
+    def test_count_must_be_a_positive_int(self, oracle, name, count):
+        with pytest.raises(ParameterDomainError, match=name):
+            _ORACLES[oracle](**{name: count})
+
+    def test_large_seeds_are_accepted(self):
+        for call in _ORACLES.values():
+            call(seed=2**80)
+
+
 class TestExactEnumeration:
     def test_matches_closed_forms_for_all_pairs(self):
         """Both routes agree on every ordered pair at the default parameters."""
@@ -155,23 +191,32 @@ class TestExactEnumeration:
             lambda theta: st.tuples(st.just(theta), st.integers(theta + 1, 60))
         ),
         prob=st.one_of(
-            st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-9]),
+            st.sampled_from([0.0, 1.0, 1e-12, 1e-13, 5e-324, 1.0 - 1e-9]),
             st.floats(1e-12, 1.0),
             st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+            st.floats(5e-324, 1e-12, exclude_max=True),
+            st.floats(-323.0, -12.0).map(lambda e: max(10.0**e, 5e-324)),
         ),
         cost=st.floats(0.0, 2.0),
         log_scale=st.floats(-2.0, 2.0),
+    )
+    # A large stake at p = 1e-13, where the closed forms once used the p = 0
+    # limit and missed by 2.4 times the tolerance.
+    @example(
+        reward=-2.563,
+        gaps=(-2.563 + 5.065, -5.065 + 7.974),
+        share=(0.161 + 2.563) / (-2.563 + 7.974),
+        theta_rounds=(2, 52),
+        prob=1e-13,
+        cost=0.325,
+        log_scale=math.log10(2.8),
     )
     def test_matches_closed_forms_off_the_grid(
         self, reward, gaps, share, theta_rounds, prob, cost, log_scale
     ):
         """Both routes agree within 1e-10 on all 25 ordered pairs at random
-        dilemma tables, thresholds, round counts, costs and scales.
-
-        Check probabilities in (0, 1e-12) are not drawn: the closed forms
-        replace them by p = 0, which ``test_continuity_as_check_prob_vanishes``
-        pins, and that limit is off by more than 1e-10 on large stakes.
-        """
+        dilemma tables, thresholds, round counts, costs, scales and check
+        probabilities, down to the smallest subnormal."""
         # R - P = a and P - S = b; T - R = share * (a + b) keeps 2R > T + S.
         a, b = gaps
         theta, rounds = theta_rounds
@@ -228,6 +273,20 @@ class TestMonteCarlo:
         with pytest.raises(ParameterDomainError):
             monte_carlo_payoffs(ALLC, ALLD, DEFAULT_GAME, samples=0)
 
+    @pytest.mark.parametrize("convention", list(CostConvention))
+    def test_first_sample_is_the_seeded_match(self, convention):
+        for spec_a, spec_b in ((tuc(3, 0.25), tud(3)), (tud(2), tuc(2, 0.6))):
+            for seed in (0, 1, 7, 2024):
+                outcome = play_match(
+                    spec_a, spec_b, DEFAULT_GAME, convention=convention, seed=seed
+                )
+                mc = monte_carlo_payoffs(
+                    spec_a, spec_b, DEFAULT_GAME,
+                    convention=convention, samples=1, seed=seed,
+                )
+                assert mc.mean_a == outcome.payoff_a
+                assert mc.mean_b == outcome.payoff_b
+
     def test_stderr_scales_with_sample_count(self):
         small = monte_carlo_payoffs(tuc(3, 0.25), tud(3), DEFAULT_GAME, samples=200)
         large = monte_carlo_payoffs(tuc(3, 0.25), tud(3), DEFAULT_GAME, samples=3200)
@@ -259,8 +318,8 @@ def _reference_match(spec_a, spec_b, game, convention, draws):
     for draw_a, draw_b in draws.tolist():
         act_a, act_b = next_action(spec_a, state_a), next_action(spec_b, state_b)
         pay_a, pay_b = table[act_a, act_b]
-        check_a = decides_to_check(spec_a, state_a, draw_a)
-        check_b = decides_to_check(spec_b, state_b, draw_b)
+        check_a = draw_a < check_probability(spec_a, state_a)
+        check_b = draw_b < check_probability(spec_b, state_b)
         if check_a:
             if charged(spec_a, state_a, act_b):
                 pay_a -= game.check_cost
@@ -275,16 +334,17 @@ def _reference_match(spec_a, spec_b, game, convention, draws):
     return rows, total_a, total_b
 
 
-def _draws(entropy, rounds):
-    seq = np.random.SeedSequence(entropy)
-    return np.random.Generator(np.random.PCG64(seq)).random((rounds, 2))
+def _stream(seed):
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _reference_monte_carlo(spec_a, spec_b, game, rounds, convention, samples, seed):
+    """Samples one at a time, each taking the next (rounds, 2) uniforms."""
+    stream = _stream(seed)
     means = np.empty((2, samples))
     for i in range(samples):
         _, total_a, total_b = _reference_match(
-            spec_a, spec_b, game, convention, _draws((seed, i), rounds)
+            spec_a, spec_b, game, convention, stream.random((rounds, 2))
         )
         means[:, i] = total_a / rounds, total_b / rounds
     stderr = [
@@ -324,7 +384,7 @@ class TestAgainstScalarReference:
     ):
         game = make_prisoners_dilemma(check_cost=cost, expected_rounds=rounds)
         rows, _, _ = _reference_match(
-            spec_a, spec_b, game, convention, _draws(seed, rounds)
+            spec_a, spec_b, game, convention, _stream(seed).random((rounds, 2))
         )
         outcome = play_match(spec_a, spec_b, game, convention=convention, seed=seed)
         assert outcome == MatchOutcome(*zip(*rows), convention)

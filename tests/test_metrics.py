@@ -108,3 +108,47 @@ class TestCooperationReport:
         assert rep.without_trust == population_cooperation(
             alone.probabilities, np.array([1.0, 0.0, 1.0])
         )
+
+
+def _tuc_lead(check_cost=0.25, payoff_scale=1.0, expected_rounds=50.0, theta=3):
+    """TUC's stationary mass minus ALLD's, at the acceptance suite's
+    defaults (p = 0.25, N = 100, beta = 0.1)."""
+    game = make_prisoners_dilemma(
+        check_cost=check_cost, payoff_scale=payoff_scale, expected_rounds=expected_rounds
+    )
+    matrix = payoff_matrix((ALLC, ALLD, TFT, tuc(theta, 0.25), tud(theta)), game)
+    chain = markov_transition_matrix(matrix.values, EvolutionParams(100, 0.1))
+    masses = stationary_distribution(chain).probabilities
+    return masses[3] - masses[1]
+
+
+def _crossover(lead, low, high):
+    """Where ``lead`` changes sign between ``low`` and ``high``, to 1e-6."""
+    ahead_at_low = lead(low) > 0
+    assert (lead(high) > 0) != ahead_at_low
+    while high - low > 1e-6:
+        mid = 0.5 * (low + high)
+        if (lead(mid) > 0) == ahead_at_low:
+            low = mid
+        else:
+            high = mid
+    return 0.5 * (low + high)
+
+
+class TestAcceptanceCrossovers:
+    """Where criteria 5 and 7 turn from TUC ahead to ALLD ahead, as built;
+    the README's acceptance note quotes these numbers."""
+
+    def test_threshold_ten_cost_crossover(self):
+        def lead(cost):
+            return _tuc_lead(check_cost=cost, theta=10)
+
+        assert lead(0.2) > 0 > lead(0.4)
+        assert _crossover(lead, 0.2, 0.4) == pytest.approx(0.29666, abs=1e-3)
+
+    def test_twenty_round_stake_crossover(self):
+        def lead(stake):
+            return _tuc_lead(payoff_scale=stake, expected_rounds=20.0)
+
+        assert lead(0.5) < 0 < lead(2.0)
+        assert _crossover(lead, 0.5, 2.0) == pytest.approx(1.09945, abs=1e-3)

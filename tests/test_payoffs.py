@@ -103,8 +103,22 @@ class TestDetectionLimits:
         at_limit = analytic_entry(tuc(3, 0.0), tud(3), DEFAULT_GAME)
         nearby = analytic_entry(tuc(3, 1e-13), tud(3), DEFAULT_GAME)
         almost = analytic_entry(tuc(3, 1e-9), tud(3), DEFAULT_GAME)
-        assert nearby == at_limit
+        assert nearby == pytest.approx(at_limit, rel=1e-10, abs=0.0)
         assert almost == pytest.approx(at_limit, abs=1e-6)
+
+    @pytest.mark.parametrize("rounds", [3.3, 4.5, 50.5])
+    def test_subnormal_check_probabilities_equal_the_limit(self, rounds):
+        """p * phase is subnormal here, so it rounds coarsely, yet the
+        entries must match p = 0 to double precision for fractional phases."""
+        game = make_prisoners_dilemma(expected_rounds=rounds)
+        watcher = analytic_entry(tuc(3, 0.0), tud(3), game)
+        exploiter = analytic_entry(tud(3), tuc(3, 0.0), game)
+        for p in (5e-324, 1e-323, 1e-320, 1e-310):
+            got = (
+                analytic_entry(tuc(3, p), tud(3), game),
+                analytic_entry(tud(3), tuc(3, p), game),
+            )
+            assert got == pytest.approx((watcher, exploiter), rel=1e-15, abs=0.0), p
 
 
 @given(scale=st.floats(min_value=1e-3, max_value=1e3))

@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import trustevo.match_sim as match_sim
 from trustevo.errors import ContractViolationError, ParameterDomainError
+from trustevo.game_model import make_prisoners_dilemma
+from trustevo.match_sim import CostConvention
 from trustevo.strategies import (
     ALLC,
     ALLD,
@@ -10,7 +14,6 @@ from trustevo.strategies import (
     StrategyKind,
     StrategySpec,
     check_probability,
-    decides_to_check,
     initial_state,
     next_action,
     observe,
@@ -161,19 +164,31 @@ class TestTrustThenDefect:
 
 
 class TestCheckDraw:
+    """A trusting TUC's check is decided by its own uniform draw: it observes
+    exactly when the draw is below its check probability."""
+
+    @staticmethod
+    def observes_in_round_four(prob, draw):
+        draws = np.zeros((1, 4, 2))
+        draws[0, 3, 0] = draw
+        trace = []
+        match_sim._rollout(
+            tuc(3, prob), ALLC, make_prisoners_dilemma(),
+            CostConvention.DETECTION_FREE, draws, trace,
+        )
+        assert [row[2] for row in trace[:3]] == [True, True, True]
+        return trace[3][2]
+
     def test_draw_below_probability_checks(self):
-        spec = tuc(3, 0.25)
-        state = play_observed(spec, [C, C, C])
-        assert decides_to_check(spec, state, 0.249)
-        assert not decides_to_check(spec, state, 0.25)
+        assert self.observes_in_round_four(0.25, 0.249)
+        assert not self.observes_in_round_four(0.25, 0.25)
 
     def test_edge_probabilities(self):
-        always = tuc(3, 1.0)
-        never = tuc(3, 0.0)
-        trusting = play_observed(always, [C, C, C])
-        assert decides_to_check(always, trusting, 0.999999)
-        trusting = play_observed(never, [C, C, C])
-        assert not decides_to_check(never, trusting, 0.0)
+        below_one = 1.0 - 2**-53
+        assert self.observes_in_round_four(1.0, below_one)
+        assert self.observes_in_round_four(1.0, 0.0)
+        assert not self.observes_in_round_four(0.0, 0.0)
+        assert not self.observes_in_round_four(0.0, below_one)
 
 
 class TestObservationContract:

@@ -436,6 +436,20 @@ class TestCliSimulate:
     def test_bad_sample_count(self, capsys):
         assert main(["simulate", "ALLC", "ALLD", "--samples", "0"]) == 1
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--seed", "-1"],
+            ["--seed", "-1", "--samples", "5"],
+            ["--samples", "-3"],
+        ],
+    )
+    def test_bad_seed_or_count_is_an_error_line(self, extra, capsys):
+        assert main(["simulate", "TUC", "TUD", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestCliErrors:
     def test_unknown_command(self, capsys):
