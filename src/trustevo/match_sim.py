@@ -3,27 +3,32 @@
 This module never touches the closed forms in :mod:`trustevo.payoffs`.  It
 drives the behaviour machines of :mod:`trustevo.strategies` one round at a
 time, which makes it the independent oracle for every analytic entry.  All
-three entry points read one round step, which gives for a joint state both
-actions and, per player, the check probability and the (payoff, next state)
-pairs without and with an observation:
+three entry points read one round step, which knows no game: for a joint
+state it gives both actions and, per player, the check probability and the
+(outcome code, next state) pairs without and with an observation.  The 12
+codes cross the result (T, R, P or S, from the player's side) with the
+observation: none, a paid check, or the check that catches a defection.
+:func:`outcome_payoffs` prices them for one game and cost convention.
 
 * :func:`play_match` rolls out one seeded match and returns the full trace.
-* :func:`exact_expected_payoffs` weights each step outcome by its lottery
-  probability, giving expectations that are exact up to float rounding.
+* :func:`expected_outcomes` weights each step outcome by its lottery
+  probability into each code's expected count, as prefix sums over rounds:
+  one walk serves every game, convention and shorter match.
+  :func:`exact_expected_payoffs` prices its last row.
 * :func:`monte_carlo_payoffs` rolls out fixed blocks of ``_BLOCK`` samples
   in lockstep, the samples that share a joint state taking one step
   together, and reports means with standard errors.
 
 Cost conventions
 ----------------
-The closed forms treat one observation as free: the catch, in which a
-trusting TUC sees the opponent defect and its ``reverted`` flag flips.
-``CostConvention.DETECTION_FREE`` (the default everywhere) reproduces that
-accounting.  ``CostConvention.EVERY_CHECK`` charges each observation
-uniformly; the two differ only in matches with a catch, by the detection
-probability times the cost spread over the match.  The discrepancy is
-documented rather than reconciled, and either convention can be requested
-explicitly.
+The convention only prices the catch, the check in which a trusting TUC
+sees the opponent defect and its ``reverted`` flag flips.  The closed forms
+treat the catch as free, and ``CostConvention.DETECTION_FREE`` (the default
+everywhere) reproduces that accounting.  ``CostConvention.EVERY_CHECK``
+charges it like any other check; the two differ only in matches with a
+catch, by the detection probability times the cost spread over the match.
+The discrepancy is documented rather than reconciled, and either convention
+can be requested explicitly.
 
 Determinism
 -----------
@@ -123,32 +128,40 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(require_int("seed", seed, 0)))
 
 
-def _round_step(spec_a, spec_b, game, convention):
-    """``step(state_a, state_b)``: both actions and, per player, ``(prob,
-    unseen, seen)``, the check probability and the (payoff, next state) pairs
-    without and with an observation (``seen`` is None when prob is 0)."""
-    t, r, p, s = game.scaled_payoffs()
-    c, d = Action.COOPERATE, Action.DEFECT
-    table = {(c, c): (r, r), (c, d): (s, t), (d, c): (t, s), (d, d): (p, p)}
-    eps = game.check_cost
-    free_catch = convention is CostConvention.DETECTION_FREE
+def outcome_payoffs(
+    game: GameSpec, convention: CostConvention = CostConvention.DETECTION_FREE
+) -> tuple[float, ...]:
+    """Per-round payoff of each outcome code ``4 * observation + result``:
+    the scaled T, R, P or S entry, less the check cost when observed, except
+    for a catch under ``DETECTION_FREE``."""
+    table = game.scaled_payoffs()
+    paid = tuple(pay - game.check_cost for pay in table)
+    return table + paid + (table if convention is CostConvention.DETECTION_FREE else paid)
 
-    def side(spec, state, pay, opponent_action):
-        prob = check_probability(spec, state)
-        if not prob > 0.0:
-            return prob, (pay, state), None
-        after = observe(spec, state, True, opponent_action)
-        free = free_catch and after.reverted and not state.reverted
-        return prob, (pay, state), (pay if free else pay - eps, after)
 
-    def step(state_a, state_b):
-        act_a = next_action(spec_a, state_a)
-        act_b = next_action(spec_b, state_b)
-        pay_a, pay_b = table[act_a, act_b]
-        side_a = side(spec_a, state_a, pay_a, act_b)
-        return act_a, act_b, side_a, side(spec_b, state_b, pay_b, act_a)
+# Each player's result, an index into (T, R, P, S), per pair of actions.
+C, D = Action.COOPERATE, Action.DEFECT
+_RESULTS = {(C, C): (1, 1), (C, D): (3, 0), (D, C): (0, 3), (D, D): (2, 2)}
 
-    return step
+
+def _side(spec, state, result, opponent_action):
+    """``(prob, unseen, seen)``: the check probability and the (outcome code,
+    next state) pairs without and with an observation (None when prob is 0)."""
+    prob = check_probability(spec, state)
+    if not prob > 0.0:
+        return prob, (result, state), None
+    after = observe(spec, state, True, opponent_action)
+    catch = after.reverted and not state.reverted
+    return prob, (result, state), (result + (8 if catch else 4), after)
+
+
+def _round_step(spec_a, spec_b, state_a, state_b):
+    """Both actions and, per player, the ``(prob, unseen, seen)`` of ``_side``."""
+    act_a = next_action(spec_a, state_a)
+    act_b = next_action(spec_b, state_b)
+    result_a, result_b = _RESULTS[act_a, act_b]
+    side_a = _side(spec_a, state_a, result_a, act_b)
+    return act_a, act_b, side_a, _side(spec_b, state_b, result_b, act_a)
 
 
 def _behaviour_key(spec: StrategySpec, state: StrategyState):
@@ -186,27 +199,28 @@ def _walk(spec_a, spec_b, rounds, mass, advance, merge):
 
 
 def _split(prob, unseen, seen, group, column):
-    """(observed, sample mask, (payoff, next state)) per non-empty lottery part."""
+    """(sample mask, (outcome code, next state)) per non-empty lottery part."""
     hit = group & (column < prob)
-    parts = ((True, hit, seen), (False, group & ~hit, unseen))
-    return [part for part in parts if part[1].any()]
+    parts = ((hit, seen), (group & ~hit, unseen))
+    return [part for part in parts if part[0].any()]
 
 
 def _rollout(spec_a, spec_b, game, convention, draws, trace=None):
     """The (2, samples) payoff totals for ``draws`` of shape (samples, rounds,
     2); ``trace`` collects each round's actions, checks and payoffs."""
-    step = _round_step(spec_a, spec_b, game, convention)
+    payoffs = outcome_payoffs(game, convention)
     samples, rounds, _ = draws.shape
     totals = np.zeros((2, samples))
 
     def advance(i, group, sa, sb):
-        act_a, act_b, side_a, side_b = step(sa, sb)
-        for checked_a, part, (pay_a, sa2) in _split(*side_a, group, draws[:, i, 0]):
-            for checked_b, cell, (pay_b, sb2) in _split(*side_b, part, draws[:, i, 1]):
+        act_a, act_b, side_a, side_b = _round_step(spec_a, spec_b, sa, sb)
+        for part, (code_a, sa2) in _split(*side_a, group, draws[:, i, 0]):
+            for cell, (code_b, sb2) in _split(*side_b, part, draws[:, i, 1]):
+                pay_a, pay_b = payoffs[code_a], payoffs[code_b]
                 totals[0, cell] += pay_a
                 totals[1, cell] += pay_b
                 if trace is not None:
-                    trace.append((act_a, act_b, checked_a, checked_b, pay_a, pay_b))
+                    trace.append((act_a, act_b, code_a >= 4, code_b >= 4, pay_a, pay_b))
                 yield cell, sa2, sb2
 
     _walk(spec_a, spec_b, rounds, np.ones(samples, bool), advance, operator.or_)
@@ -265,12 +279,32 @@ def monte_carlo_payoffs(
 
 
 def _lottery(prob, unseen, seen, weight):
-    """(weight, payoff, next state) per outcome of one observation lottery."""
+    """(weight, outcome code, next state) per outcome of one observation lottery."""
     if not prob > 0.0:
         return ((weight, *unseen),)
     if prob >= 1.0:
         return ((weight, *seen),)
     return ((weight * prob, *seen), (weight * (1.0 - prob), *unseen))
+
+
+def expected_outcomes(spec_a: StrategySpec, spec_b: StrategySpec, rounds: int) -> np.ndarray:
+    """Expected outcome counts as a (rounds, 2, 12) array: ``[i, player, code]``
+    counts the first ``i + 1`` rounds in which ``player`` (0 for ``spec_a``)
+    met ``code``, exact over :func:`play_match`'s draws up to float rounding."""
+    require_int("rounds", rounds, 1)
+    counts = [[0.0] * 24 for _ in range(rounds)]
+
+    def advance(i, weight, sa, sb):
+        _, _, side_a, side_b = _round_step(spec_a, spec_b, sa, sb)
+        row = counts[i]
+        for wa, code_a, sa2 in _lottery(*side_a, weight):
+            for w, code_b, sb2 in _lottery(*side_b, wa):
+                row[code_a] += w
+                row[12 + code_b] += w
+                yield w, sa2, sb2
+
+    _walk(spec_a, spec_b, rounds, 1.0, advance, operator.add)
+    return np.cumsum(np.reshape(counts, (rounds, 2, 12)), axis=0)
 
 
 def exact_expected_payoffs(
@@ -280,24 +314,8 @@ def exact_expected_payoffs(
     rounds: Optional[int] = None,
     convention: CostConvention = CostConvention.DETECTION_FREE,
 ) -> tuple[float, float]:
-    """Exact expected per-round payoffs by enumerating observation lotteries.
-
-    Advances a probability distribution over joint behaviour states one
-    round at a time, weighting each step outcome by its lottery probability,
-    so the result is the exact expectation of :func:`play_match` over its
-    random draws, up to float rounding.
-    """
+    """Exact expected per-round payoffs of both players: the outcome counts
+    of :func:`expected_outcomes` priced by :func:`outcome_payoffs`."""
     rounds = _resolve_rounds(game, rounds)
-    step = _round_step(spec_a, spec_b, game, convention)
-    totals = [0.0, 0.0]
-
-    def advance(_, weight, sa, sb):
-        _, _, side_a, side_b = step(sa, sb)
-        for wa, pay_a, sa2 in _lottery(*side_a, weight):
-            for w, pay_b, sb2 in _lottery(*side_b, wa):
-                totals[0] += w * pay_a
-                totals[1] += w * pay_b
-                yield w, sa2, sb2
-
-    _walk(spec_a, spec_b, rounds, 1.0, advance, operator.add)
-    return totals[0] / rounds, totals[1] / rounds
+    totals = expected_outcomes(spec_a, spec_b, rounds)[-1] @ outcome_payoffs(game, convention)
+    return float(totals[0] / rounds), float(totals[1] / rounds)

@@ -112,28 +112,29 @@ def initial_state(spec: StrategySpec) -> StrategyState:
     return StrategyState(0, False, False, None)
 
 
+# Per kind, the (action, check probability) before trust, while trusting and
+# after a caught defection, which TUD never meets.  Tit-for-tat repeats the
+# last observed action, cooperating until the first; p is the check_prob.
+_TIT_FOR_TAT, _P = "tit-for-tat", "p"
+_BEHAVIOUR = {
+    StrategyKind.ALLC: ((Action.COOPERATE, 0.0),) * 3,
+    StrategyKind.ALLD: ((Action.DEFECT, 0.0),) * 3,
+    StrategyKind.TFT: ((_TIT_FOR_TAT, 1.0),) * 3,
+    StrategyKind.TUC: ((_TIT_FOR_TAT, 1.0), (Action.COOPERATE, _P), (_TIT_FOR_TAT, 1.0)),
+    StrategyKind.TUD: ((_TIT_FOR_TAT, 1.0), (Action.DEFECT, 0.0), (Action.DEFECT, 0.0)),
+}
+
+
+def _behaviour(spec: StrategySpec, state: StrategyState):
+    return _BEHAVIOUR[spec.kind][2 if state.reverted else int(state.trusting)]
+
+
 def next_action(spec: StrategySpec, state: StrategyState) -> Action:
     """Action the strategy plays this round given its current state."""
-    kind = spec.kind
-    if kind is StrategyKind.ALLC:
-        return Action.COOPERATE
-    if kind is StrategyKind.ALLD:
-        return Action.DEFECT
-    if kind is StrategyKind.TUC:
-        if state.trusting and not state.reverted:
-            return Action.COOPERATE
-        return _tit_for_tat(state)
-    if kind is StrategyKind.TUD:
-        if state.trusting:
-            return Action.DEFECT
-        return _tit_for_tat(state)
-    return _tit_for_tat(state)
-
-
-def _tit_for_tat(state: StrategyState) -> Action:
-    if state.last_observed is Action.DEFECT:
-        return Action.DEFECT
-    return Action.COOPERATE
+    action = _behaviour(spec, state)[0]
+    if action == _TIT_FOR_TAT:
+        return state.last_observed or Action.COOPERATE
+    return action
 
 
 def check_probability(spec: StrategySpec, state: StrategyState) -> float:
@@ -144,16 +145,8 @@ def check_probability(spec: StrategySpec, state: StrategyState) -> float:
     defection.  A trusting TUC observes with probability p; a trusting TUD
     never observes again.
     """
-    kind = spec.kind
-    if kind is StrategyKind.ALLC or kind is StrategyKind.ALLD:
-        return 0.0
-    if kind is StrategyKind.TUC:
-        if state.trusting and not state.reverted:
-            return spec.check_prob
-        return 1.0
-    if kind is StrategyKind.TUD:
-        return 0.0 if state.trusting else 1.0
-    return 1.0
+    prob = _behaviour(spec, state)[1]
+    return spec.check_prob if prob == _P else prob
 
 
 def observe(

@@ -5,16 +5,20 @@ share no arithmetic: :mod:`trustevo.payoffs` evaluates phase-split formulas,
 :mod:`trustevo.match_sim` integrates the behaviour machines round by round.
 This module sweeps both over a standard parameter grid and reports the worst
 relative disagreement, which the ``verify`` CLI subcommand and the
-acceptance suite both consume.
+acceptance suite both consume.  The enumerator's outcome counts hold no game
+and a shorter match is a prefix of a longer one, so each (theta, p, pair)
+is walked once, to the longest grid match, and every round count, cost and
+stake on the grid is priced from that walk's prefix sums.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from .game_model import make_prisoners_dilemma
-from .match_sim import exact_expected_payoffs
+from .match_sim import expected_outcomes, outcome_payoffs
 from .payoffs import analytic_entry
 from .strategies import ALLC, ALLD, TFT, tuc, tud
 
@@ -63,36 +67,31 @@ def run_oracle_verification(tolerance: float = TOLERANCE) -> OracleReport:
     """Compare every ordered pair entry over the standard grid.
 
     Grid combinations with theta >= rounds are skipped because the closed
-    forms are undefined there (the enumerator would still run).  Each
-    unordered pair is enumerated once; the run validates both ordered
-    entries.
+    forms are undefined there.  Each unordered pair is walked once per
+    (theta, p); the walk validates both ordered entries of every game.  A
+    comparison fails unless its ratio is at most 1, so a NaN on either
+    route fails, and the worst ratio is then NaN too.
     """
-    comparisons = 0
-    failures = 0
+    games = []
+    for rounds, cost, scale in product(GRID_ROUNDS, GRID_CHECK_COSTS, GRID_SCALES):
+        game = make_prisoners_dilemma(
+            payoff_scale=scale, check_cost=cost, expected_rounds=float(rounds)
+        )
+        games.append((rounds, game, outcome_payoffs(game)))
+    comparisons = failures = 0
     worst = 0.0
-    for theta in GRID_THRESHOLDS:
-        for rounds in GRID_ROUNDS:
-            if theta >= rounds:
-                continue
-            for check_prob in GRID_CHECK_PROBS:
-                strategies = (ALLC, ALLD, TFT, tuc(theta, check_prob), tud(theta))
-                for cost in GRID_CHECK_COSTS:
-                    for scale in GRID_SCALES:
-                        game = make_prisoners_dilemma(
-                            payoff_scale=scale,
-                            check_cost=cost,
-                            expected_rounds=float(rounds),
-                        )
-                        for a, b in combinations_with_replacement(strategies, 2):
-                            exact_a, exact_b = exact_expected_payoffs(
-                                a, b, game, rounds=rounds
-                            )
-                            checks = [(a, b, exact_a), (b, a, exact_b)]
-                            for row, col, exact in checks:
-                                predicted = analytic_entry(row, col, game)
-                                ratio = _tolerance_ratio(predicted, exact, tolerance)
-                                worst = max(worst, ratio)
-                                comparisons += 1
-                                if ratio > 1.0:
-                                    failures += 1
-    return OracleReport(comparisons, failures, worst)
+    for theta, check_prob in product(GRID_THRESHOLDS, GRID_CHECK_PROBS):
+        strategies = (ALLC, ALLD, TFT, tuc(theta, check_prob), tud(theta))
+        for a, b in combinations_with_replacement(strategies, 2):
+            counts = expected_outcomes(a, b, max(GRID_ROUNDS))
+            for rounds, game, price in games:
+                if theta >= rounds:
+                    continue
+                exact_a, exact_b = counts[rounds - 1] @ price / rounds
+                for row, col, exact in ((a, b, exact_a), (b, a, exact_b)):
+                    ratio = _tolerance_ratio(analytic_entry(row, col, game), exact, tolerance)
+                    comparisons += 1
+                    failures += not ratio <= 1.0
+                    if math.isnan(ratio) or ratio > worst:
+                        worst = ratio
+    return OracleReport(comparisons, failures, float(worst))

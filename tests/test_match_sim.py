@@ -13,7 +13,9 @@ from trustevo.match_sim import (
     CostConvention,
     MatchOutcome,
     exact_expected_payoffs,
+    expected_outcomes,
     monte_carlo_payoffs,
+    outcome_payoffs,
     play_match,
 )
 from trustevo.payoffs import analytic_entry
@@ -31,7 +33,7 @@ from trustevo.strategies import (
     tuc,
     tud,
 )
-from trustevo.verification import _tolerance_ratio
+from trustevo.verification import _tolerance_ratio, run_oracle_verification
 
 C = Action.COOPERATE
 D = Action.DEFECT
@@ -243,6 +245,64 @@ class TestExactEnumeration:
         monkeypatch.setattr(match_sim, "_STATE_LIMIT", 1)
         with pytest.raises(StateSpaceError):
             exact_expected_payoffs(tuc(3, 0.25), tud(3), DEFAULT_GAME)
+
+
+def _results(counts):
+    """(rounds, 2, 4) counts of T, R, P and S, summed over the observations."""
+    return counts.reshape(len(counts), 2, 3, 4).sum(axis=2)
+
+
+class TestExpectedOutcomes:
+    PAIRS = list(itertools.product(DEFAULT_SET, repeat=2))
+
+    def test_shorter_matches_are_prefixes(self):
+        for a, b in self.PAIRS:
+            full = expected_outcomes(a, b, 50)
+            for rounds in (1, 5, 10, 20, 50):
+                assert np.array_equal(full[rounds - 1], expected_outcomes(a, b, rounds)[-1])
+
+    def test_each_round_has_one_result(self):
+        for a, b in self.PAIRS:
+            totals = _results(expected_outcomes(a, b, 50)).sum(axis=2)
+            played = np.arange(1, 51)[:, None]
+            np.testing.assert_allclose(totals, np.broadcast_to(played, (50, 2)), rtol=0, atol=1e-12)
+
+    def test_results_mirror_between_players(self):
+        for a, b in self.PAIRS:
+            results = _results(expected_outcomes(a, b, 50))
+            t, r, p, s = range(4)
+            for mine, theirs in ((t, s), (s, t), (r, r), (p, p)):
+                np.testing.assert_allclose(
+                    results[:, 0, mine], results[:, 1, theirs], rtol=0, atol=1e-12
+                )
+
+    def test_both_conventions_price_one_count_array(self):
+        game = make_prisoners_dilemma(check_cost=0.4, payoff_scale=2.5)
+        for a, b in self.PAIRS:
+            counts = expected_outcomes(a, b, 50)[-1]
+            for convention in CostConvention:
+                priced = tuple(counts @ outcome_payoffs(game, convention) / 50)
+                assert exact_expected_payoffs(a, b, game, convention=convention) == priced
+
+    def test_rounds_validation(self):
+        for rounds in (0, 2.5, True):
+            with pytest.raises(ParameterDomainError):
+                expected_outcomes(ALLC, ALLD, rounds)
+
+    def test_verify_walks_each_pair_once(self, monkeypatch):
+        """One walk per (theta, p, unordered pair): 4 * 5 * 15 = 300."""
+        import trustevo.verification as verification
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return expected_outcomes(*args)
+
+        monkeypatch.setattr(verification, "expected_outcomes", counted)
+        report = run_oracle_verification()
+        assert len(calls) == 300
+        assert report.comparisons == 17550 and report.ok
 
 
 class TestMonteCarlo:

@@ -530,3 +530,25 @@ class TestCliVerify:
         )
         assert main(["verify"]) == 2
         assert capsys.readouterr().out.startswith("FAIL")
+
+    def test_a_nan_entry_fails_verify(self, capsys, monkeypatch):
+        """NaN compares false with everything, so it must not pass as in band."""
+        import math
+
+        import trustevo.verification as verification
+
+        analytic_entry = verification.analytic_entry
+        game = make_prisoners_dilemma(expected_rounds=20.0)
+
+        def nan_at_one_entry(row, col, at):
+            if (row, col, at) == (tuc(3, 0.1), tud(3), game):
+                return math.nan
+            return analytic_entry(row, col, at)
+
+        monkeypatch.setattr(verification, "analytic_entry", nan_at_one_entry)
+        report = verification.run_oracle_verification()
+        assert not report.ok
+        assert report.failures == 1
+        assert math.isnan(report.worst_tolerance_ratio)
+        assert main(["verify"]) == 2
+        assert capsys.readouterr().out.startswith("FAIL: 17549/17550")
