@@ -89,10 +89,11 @@ def fermi_probability(payoff_diff: float, beta: float) -> float:
 
 
 def _fixation_sums(args: np.ndarray) -> np.ndarray:
-    """``1 / (1 + sum(exp(args)))`` along the last axis; overwrites ``args``."""
+    """``1 / (1 + sum(exp(args)))`` along the last axis; overwrites ``args``.
+    A +inf peak is not shifted away (inf - inf is NaN): its entry is 0."""
     peak = args.max(axis=-1)
     logged = peak >= _EXP_GUARD
-    args -= np.where(logged, peak, 0.0)[..., None]
+    args -= np.where(logged & (peak < np.inf), peak, 0.0)[..., None]
     sums = np.exp(args, out=args).sum(axis=-1)
     rho = 1.0 / (1.0 + sums)
     rho[logged] = np.exp(-np.logaddexp(0.0, peak[logged] + np.log(sums[logged])))
@@ -121,8 +122,10 @@ def fixation_matrix(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
     resident /= n - 1
     advantage -= resident
     args = np.cumsum(advantage, axis=-1, out=resident)
-    args *= -params.selection_strength
-    return _fixation_sums(args)
+    # Beyond the float range beta * sum is +-inf, whose limits are exact.
+    with np.errstate(over="ignore"):
+        args *= -params.selection_strength
+        return _fixation_sums(args)
 
 
 def fixation_probability(

@@ -54,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import StateSpaceError, require_int
+from .errors import NumericalError, StateSpaceError, require_int
 from .game_model import GameSpec
 from .strategies import (
     Action,
@@ -223,7 +223,9 @@ def _rollout(spec_a, spec_b, game, convention, draws, trace=None):
                     trace.append((act_a, act_b, code_a >= 4, code_b >= 4, pay_a, pay_b))
                 yield cell, sa2, sb2
 
-    _walk(spec_a, spec_b, rounds, np.ones(samples, bool), advance, operator.or_)
+    # A total past the float range becomes inf; monte_carlo_payoffs refuses it.
+    with np.errstate(over="ignore"):
+        _walk(spec_a, spec_b, rounds, np.ones(samples, bool), advance, operator.or_)
     return totals
 
 
@@ -263,6 +265,8 @@ def monte_carlo_payoffs(
         totals[:, start : start + len(block)] = _rollout(
             spec_a, spec_b, game, convention, block
         )
+    if not np.isfinite(totals).all():
+        raise NumericalError("Monte Carlo payoff totals are not finite")
     totals /= rounds
     means_a, means_b = totals
     def stderr(x):

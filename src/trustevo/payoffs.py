@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import NumericalError, ParameterDomainError
 from .game_model import GameSpec
 from .strategies import TRUST_KINDS, StrategyKind, StrategySpec
 
@@ -156,5 +156,10 @@ def payoff_matrix(strategies: tuple[StrategySpec, ...], game: GameSpec) -> Payof
     values = np.empty((size, size), dtype=float)
     for i, row in enumerate(strategies):
         for j, col in enumerate(strategies):
-            values[i, j] = analytic_entry(row, col, game)
+            value = analytic_entry(row, col, game)
+            if not math.isfinite(value):
+                raise NumericalError(
+                    f"payoff entry ({row.label}, {col.label}) overflowed to {value}"
+                )
+            values[i, j] = value
     return PayoffMatrix(tuple(strategies), values)

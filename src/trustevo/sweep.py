@@ -6,16 +6,18 @@ cooperation report) at every grid point in turn.  Grid order is row-major in
 the listed axis order with the last axis varying fastest; nothing is random,
 so a sweep is byte-identical run to run.
 
-The eleven base parameters are listed once, by INI section, in ``_SECTIONS``:
+The eleven base parameters are listed once, by INI section, in ``SECTIONS``:
 the :class:`GameSpec` fields under ``[game]`` (defaults from
 :func:`make_prisoners_dilemma`), then ``[evolution]`` and ``[trust]``.  The
-INI parser, :meth:`SweepConfig.base_parameters` and :func:`evaluate_point`
-take their names from it.  A section's INI key is the parameter name without
-the section prefix (``[trust] threshold`` is ``trust_threshold``); each key
-under ``[sweep]`` is a full name and adds one axis, whose values are an
-explicit comma list, ``lin:start:stop:count`` or ``log:start:stop:count``.
-``population`` and ``trust_threshold`` take whole numbers, as base values and
-on axes alike: a fraction, NaN or infinity raises ``ConfigError``.
+INI parser, :meth:`SweepConfig.base_parameters`, :func:`evaluate_point` and
+the command line options take their names from it.  A section's INI key is
+the parameter name without the section prefix (``[trust] threshold`` is
+``trust_threshold``); each key under ``[sweep]`` is a full name and adds one
+axis, whose values are an explicit comma list, ``lin:start:stop:count`` or
+``log:start:stop:count``.  ``population`` and ``trust_threshold`` take whole
+numbers, as base values and on axes alike: a fraction, NaN or infinity
+raises ``ConfigError``.  :func:`write_rows` writes the sweep's CSV and every
+command line table, and refuses a NaN or infinite number.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .evolution import EvolutionParams
 from .game_model import GameSpec, make_prisoners_dilemma
 from .metrics import cooperation_report
@@ -38,13 +41,13 @@ DEFAULT_SELECTION = 0.1
 DEFAULT_TRUST_THRESHOLD = 3
 DEFAULT_CHECK_PROB = 0.25
 
-_SECTIONS = {
+SECTIONS = {
     "game": tuple(field.name for field in dataclasses.fields(GameSpec)),
     "evolution": ("population", "selection_strength"),
     "trust": ("trust_threshold", "check_prob"),
 }
-_GAME_PARAMS = _SECTIONS["game"]
-PARAM_NAMES = tuple(name for names in _SECTIONS.values() for name in names)
+_GAME_PARAMS = SECTIONS["game"]
+PARAM_NAMES = tuple(name for names in SECTIONS.values() for name in names)
 _INTEGER_PARAMS = ("population", "trust_threshold")
 
 STRATEGY_ORDER = ("ALLC", "ALLD", "TFT", "TUC", "TUD")
@@ -160,12 +163,12 @@ def parse_config(path: str) -> SweepConfig:
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
-    stray = set(parser.sections()) - set(_SECTIONS) - {"sweep"}
+    stray = set(parser.sections()) - set(SECTIONS) - {"sweep"}
     if stray:
         raise ConfigError(f"unknown config sections: {', '.join(sorted(stray))}")
 
     settings = SweepConfig(game=make_prisoners_dilemma()).base_parameters()
-    for section, names in _SECTIONS.items():
+    for section, names in SECTIONS.items():
         entries = parser[section] if parser.has_section(section) else {}
         keys = {name.removeprefix(f"{section}_"): name for name in names}
         bad = set(entries) - set(keys)
@@ -220,6 +223,12 @@ def run_sweep(config: SweepConfig) -> list[dict]:
     return [evaluate_point(config, point) for point in _grid_points(config)]
 
 
+def sweep_table(rows: Sequence[dict]) -> list[list]:
+    """The sweep's header row, then each row's values in column order."""
+    columns = sweep_columns(rows)
+    return [columns, *([row[c] for c in columns] for row in rows)]
+
+
 def sweep_columns(rows: Sequence[dict]) -> list[str]:
     params = sorted(k for k in rows[0] if k.startswith("param:"))
     outputs = [f"freq_{label}" for label in STRATEGY_ORDER]
@@ -232,8 +241,31 @@ def format_value(value: float) -> str:
     return repr(float(value))
 
 
-def write_csv(rows: Sequence[dict], stream: io.TextIOBase) -> None:
-    columns = sweep_columns(rows)
-    stream.write(",".join(columns) + "\n")
+def write_rows(rows: Sequence[Sequence], out: io.TextIOBase | str | None = None) -> None:
+    """Write ``rows`` as CSV lines to a stream, a file path, or stdout (None).
+
+    Strings are written as they are and numbers through :func:`format_value`.
+    The whole text is built first, so a NaN or infinite number raises
+    ``NumericalError`` before stdout is touched or a file is opened.
+    """
+    lines = []
     for row in rows:
-        stream.write(",".join(format_value(row[c]) for c in columns) + "\n")
+        cells = []
+        for value in row:
+            if not isinstance(value, str):
+                value = format_value(value)
+                if value in ("nan", "inf", "-inf"):
+                    raise NumericalError(
+                        f"output line {len(lines) + 1} holds the non-finite value {value}"
+                    )
+            cells.append(value)
+        lines.append(",".join(cells) + "\n")
+    if isinstance(out, str):
+        with open(out, "w", newline="") as handle:
+            handle.write("".join(lines))
+    else:
+        (sys.stdout if out is None else out).write("".join(lines))
+
+
+def write_csv(rows: Sequence[dict], stream: io.TextIOBase) -> None:
+    write_rows(sweep_table(rows), stream)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -186,8 +187,11 @@ class TestFixationProbability:
         logged = fixation_probability(DEFAULT_VALUES, 0, 1, DEFAULT_PARAMS)
         assert logged == pytest.approx(direct, rel=1e-12)
 
-    def test_extreme_selection_stays_in_bounds(self):
-        params = EvolutionParams(100, 1e4)
+    @pytest.mark.parametrize("beta", [1e4, 1e308])
+    def test_extreme_selection_stays_in_bounds(self, beta):
+        """At 1e308, beta times the advantage sum overflows to +-inf, whose
+        limits 0 and 1 come out exactly and without a warning."""
+        params = EvolutionParams(100, beta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             doomed = fixation_probability(DEFAULT_VALUES, 0, 1, params)
@@ -241,6 +245,70 @@ class TestMarkovChain:
                 if i != j:
                     rho = fixation_probability(values, j, i, params)
                     assert rho / (size - 1) == expected[i, j]
+
+
+# Random tables and populations, with beta * N * (table spread) <= 100: the
+# cap under which the dense stationary solve is expected never to refuse.
+POPULATIONS = st.sampled_from((2, 3, 100, 1000))
+TABLES = st.integers(2, 5).flatmap(
+    lambda size: arrays(np.float64, (size, size), elements=st.floats(-10.0, 10.0))
+)
+UNIT = st.floats(0.0, 1.0)
+
+
+def capped_beta(unit, n, values, stake=1.0):
+    spread = stake * float(values.max() - values.min())
+    return unit * 100.0 / (n * max(spread, 1e-9))
+
+
+class TestChainProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(values=TABLES, n=POPULATIONS, unit=UNIT)
+    def test_rows_are_stochastic_and_the_stationary_vector_sums_to_one(
+        self, values, n, unit
+    ):
+        params = EvolutionParams(n, capped_beta(unit, n, values))
+        chain = markov_transition_matrix(values, params)
+        assert np.abs(chain.sum(axis=1) - 1.0).max() <= 1e-12
+        assert ((chain >= 0.0) & (chain <= 1.0)).all()
+        pi = stationary_distribution(chain).probabilities
+        assert (pi >= 0.0).all()
+        assert abs(pi.sum() - 1.0) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=TABLES, n=POPULATIONS)
+    def test_neutral_fixation_is_exactly_one_over_n(self, values, n):
+        rho = evolution.fixation_matrix(values, EvolutionParams(n, 0.0))
+        off_diagonal = ~np.eye(len(values), dtype=bool)
+        assert (rho[off_diagonal] == 1 / n).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 4), min_size=2, max_size=5, unique=True),
+        theta=st.integers(1, 5),
+        p=st.floats(0.0, 1.0),
+        extra_rounds=st.floats(1.0, 100.0),
+        stake=st.floats(0.1, 10.0),
+        n=POPULATIONS,
+        unit=UNIT,
+    )
+    def test_with_free_checks_stake_scales_like_selection(
+        self, picks, theta, p, extra_rounds, stake, n, unit
+    ):
+        """Stake g at beta gives the stationary vector of stake 1 at beta * g."""
+        every = (ALLC, ALLD, TFT, tuc(theta, p), tud(theta))
+        specs = tuple(every[i] for i in sorted(picks))
+        game = make_prisoners_dilemma(check_cost=0.0, expected_rounds=theta + extra_rounds)
+        values = payoff_matrix(specs, game).values
+        beta = capped_beta(unit, n, values, stake)
+
+        def stationary(scale, strength):
+            table = payoff_matrix(specs, dataclasses.replace(game, payoff_scale=scale))
+            chain = markov_transition_matrix(table.values, EvolutionParams(n, strength))
+            return stationary_distribution(chain).probabilities
+
+        gap = np.abs(stationary(stake, beta) - stationary(1.0, beta * stake)).max()
+        assert gap <= 1e-10
 
 
 class TestStationaryDistribution:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from trustevo.errors import ParameterDomainError
+from trustevo.errors import NumericalError, ParameterDomainError
 from trustevo.game_model import make_prisoners_dilemma
 from trustevo.payoffs import analytic_entry, payoff_matrix
 from trustevo.strategies import ALLC, ALLD, TFT, tuc, tud
@@ -152,6 +152,18 @@ class TestMatrixConstruction:
     def test_rejects_empty_set(self):
         with pytest.raises(ParameterDomainError):
             payoff_matrix((), DEFAULT_GAME)
+
+    @pytest.mark.parametrize(
+        "scale, rounds, value",
+        [(1e308, 50.0, "nan"), (1e300, 1e10, "-inf")],
+    )
+    def test_non_finite_entry_is_named(self, scale, rounds, value):
+        """At stake 1e308, ALLC v TUD adds theta * R = inf to (r - theta) * S =
+        -inf; at 1e300 over 1e10 rounds its S term alone overflows to -inf."""
+        game = make_prisoners_dilemma(payoff_scale=scale, expected_rounds=rounds)
+        message = rf"entry \(ALLC, TUD\) overflowed to {value}"
+        with pytest.raises(NumericalError, match=message):
+            payoff_matrix(DEFAULT_SET, game)
 
     def test_subset_matrix(self):
         matrix = payoff_matrix((ALLC, ALLD, TFT), DEFAULT_GAME)

@@ -1,12 +1,14 @@
 import dataclasses
 import io
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trustevo.cli import _game_from_args, build_parser, main
-from trustevo.errors import ConfigError
+from trustevo.errors import ConfigError, NumericalError
 from trustevo.evolution import EvolutionParams, fixation_probability
 from trustevo.game_model import GameSpec, make_prisoners_dilemma
 from trustevo.match_sim import monte_carlo_payoffs
@@ -24,6 +26,7 @@ from trustevo.sweep import (
     run_sweep,
     sweep_columns,
     write_csv,
+    write_rows,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "fig3_golden.csv"
@@ -162,6 +165,27 @@ class TestValueFormatting:
     def test_short_values_stay_short(self):
         assert format_value(0.25) == "0.25"
         assert format_value(50.0) == "50.0"
+
+
+class TestRowWriter:
+    def test_strings_as_they_are_and_numbers_formatted(self):
+        buffer = io.StringIO()
+        write_rows([["", "A"], ["A", 0.25], ["n", "7", np.float64(50)]], buffer)
+        assert buffer.getvalue() == ",A\nA,0.25\nn,7,50.0\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_writes_nothing(self, bad, tmp_path, capsys):
+        target = tmp_path / "out.csv"
+        for out in (None, str(target)):
+            with pytest.raises(NumericalError, match="output line 2"):
+                write_rows([["metric", "value"], ["x", bad]], out)
+        assert capsys.readouterr().out == ""
+        assert not target.exists()
+
+    def test_a_string_nan_is_text(self):
+        buffer = io.StringIO()
+        write_rows([["nan"]], buffer)
+        assert buffer.getvalue() == "nan\n"
 
 
 class TestConfigParsing:
@@ -356,7 +380,7 @@ class TestCliOptions:
             DEFAULT_TRUST_THRESHOLD, DEFAULT_CHECK_PROB,
         )
         if command not in ("payoff-matrix", "simulate"):
-            assert (args.population, args.selection) == (
+            assert (args.population, args.selection_strength) == (
                 DEFAULT_POPULATION, DEFAULT_SELECTION,
             )
 
@@ -510,6 +534,45 @@ class TestCliErrors:
         monkeypatch.setattr(cli, "run_oracle_verification", boom)
         assert main(["verify"]) == 2
         assert "numerical error:" in capsys.readouterr().err
+
+
+class TestCliNonFinite:
+    """A NaN or infinite result exits 2 with nothing on stdout."""
+
+    def test_overflowing_selection_gives_the_limit(self, capsys):
+        assert main(["fixation", "TUC", "ALLD", "--selection", "1e308"]) == 0
+        assert capsys.readouterr() == ("0.0\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["payoff-matrix", "--payoff-scale", "1e308"], r"\(ALLC, TUD\) overflowed to nan"),
+            (["coop-report", "--payoff-scale", "1e308"], r"\(ALLC, TUD\) overflowed to nan"),
+            (
+                ["payoff-matrix", "--payoff-scale", "1e300", "--rounds", "1e10"],
+                r"entry \(ALLC, TUD\) overflowed to -inf",
+            ),
+            (
+                ["coop-report", "--payoff-scale", "1e300", "--rounds", "1e10"],
+                r"entry \(ALLC, TUD\) overflowed to -inf",
+            ),
+            (
+                ["simulate", "TUC", "TUD", "--payoff-scale", "1e308", "--samples", "10"],
+                "Monte Carlo payoff totals are not finite",
+            ),
+            (["simulate", "TUC", "TUD", "--payoff-scale", "1e308"], "non-finite value inf"),
+            (["stationary", "--selection", "1e308"], "stationary solve failed"),
+        ],
+    )
+    def test_exit_two_with_empty_stdout(self, argv, message, capsys, tmp_path):
+        target = tmp_path / "out.csv"
+        for out in ([], ["--out", str(target)]):
+            assert main([*argv, *out]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("numerical error:")
+            assert re.search(message, captured.err)
+        assert not target.exists()
 
 
 class TestCliVerify:
