@@ -111,6 +111,9 @@ def fixation_matrix(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
             f"need a square payoff table with at least two strategies, got {values.shape}"
         )
     n = params.population_size
+    bound = np.finfo(float).max / (2 * n)  # |cumsum(advantage)| <= 2 (N - 1) max |entry|
+    if max(values.max(), -values.min()) > bound:
+        raise NumericalError(f"payoff entries beyond {bound:.3g} overflow fixation sums at N={n}")
     k = np.arange(1, n, dtype=float)
     own = np.diagonal(values)
     # Axis 0 is the resident r, axis 1 the mutant m, axis 2 the count k.

@@ -4,18 +4,19 @@ The two payoff routes are written against the same behaviour contracts but
 share no arithmetic: :mod:`trustevo.payoffs` evaluates phase-split formulas,
 :mod:`trustevo.match_sim` integrates the behaviour machines round by round.
 This module sweeps both over a standard parameter grid and reports the worst
-relative disagreement, which the ``verify`` CLI subcommand and the
-acceptance suite both consume.  The enumerator's outcome counts hold no game
-and a shorter match is a prefix of a longer one, so each (theta, p, pair)
-is walked once, to the longest grid match, and every round count, cost and
-stake on the grid is priced from that walk's prefix sums.
+relative disagreement and where it sits.  The enumerator's outcome counts
+hold no game and a shorter match is a prefix of a longer one, so each
+distinct strategy pair is walked once, to the longest grid match, and priced
+against all grid games in one stacked product; ALLC v ALLD, say, serves every
+(theta, p) cell from one walk.  Each cell is then compared as one array.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+
+import numpy as np
 
 from .game_model import make_prisoners_dilemma
 from .match_sim import expected_outcomes, outcome_payoffs
@@ -36,6 +37,7 @@ class OracleReport:
     comparisons: int
     failures: int
     worst_tolerance_ratio: float
+    worst_at: str = ""
 
     @property
     def ok(self) -> bool:
@@ -48,50 +50,60 @@ class OracleReport:
             f"{head}: {passed}/{self.comparisons} oracle comparisons within "
             f"{TOLERANCE:g} relative tolerance "
             f"(worst deviation at {self.worst_tolerance_ratio:.3e} of tolerance)"
-        )
+        ) + (f" in {self.worst_at}" if self.worst_at else "")
 
 
-def _tolerance_ratio(analytic: float, exact: float, tolerance: float) -> float:
+def _tolerance_ratio(analytic, exact, tolerance: float):
     """Disagreement as a fraction of the allowed band; above 1 is a failure.
 
     The band is relative with an absolute floor of 1e-12 so that entries
     which are exactly zero on one route and roundoff-sized on the other do
-    not divide by nothing.
+    not divide by nothing.  Elementwise; a NaN on either route gives NaN.
     """
-    gap = abs(analytic - exact)
-    scale = max(abs(analytic), abs(exact))
-    return gap / max(1e-12, tolerance * scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(abs(analytic), abs(exact))
+        return abs(analytic - exact) / np.maximum(1e-12, tolerance * scale)
 
 
 def run_oracle_verification(tolerance: float = TOLERANCE) -> OracleReport:
     """Compare every ordered pair entry over the standard grid.
 
     Grid combinations with theta >= rounds are skipped because the closed
-    forms are undefined there.  Each unordered pair is walked once per
-    (theta, p); the walk validates both ordered entries of every game.  A
-    comparison fails unless its ratio is at most 1, so a NaN on either
-    route fails, and the worst ratio is then NaN too.
+    forms are undefined there.  A comparison fails unless its ratio is at
+    most 1, so a NaN on either route fails, and the worst ratio and its
+    location are then those of the first NaN.
     """
-    games = []
-    for rounds, cost, scale in product(GRID_ROUNDS, GRID_CHECK_COSTS, GRID_SCALES):
-        game = make_prisoners_dilemma(
-            payoff_scale=scale, check_cost=cost, expected_rounds=float(rounds)
-        )
-        games.append((rounds, game, outcome_payoffs(game)))
+    grid = list(product(GRID_ROUNDS, GRID_CHECK_COSTS, GRID_SCALES))
+    games = [
+        make_prisoners_dilemma(payoff_scale=scale, check_cost=cost, expected_rounds=float(rounds))
+        for rounds, cost, scale in grid
+    ]
+    rounds = np.array([r for r, _, _ in grid])
+    prices = np.array([outcome_payoffs(game) for game in games])
+    priced = {}  # (a, b) -> (games, 2) mean payoffs of a and b in each grid game
     comparisons = failures = 0
-    worst = 0.0
-    for theta, check_prob in product(GRID_THRESHOLDS, GRID_CHECK_PROBS):
-        strategies = (ALLC, ALLD, TFT, tuc(theta, check_prob), tud(theta))
-        for a, b in combinations_with_replacement(strategies, 2):
-            counts = expected_outcomes(a, b, max(GRID_ROUNDS))
-            for rounds, game, price in games:
-                if theta >= rounds:
-                    continue
-                exact_a, exact_b = counts[rounds - 1] @ price / rounds
-                for row, col, exact in ((a, b, exact_a), (b, a, exact_b)):
-                    ratio = _tolerance_ratio(analytic_entry(row, col, game), exact, tolerance)
-                    comparisons += 1
-                    failures += not ratio <= 1.0
-                    if math.isnan(ratio) or ratio > worst:
-                        worst = ratio
-    return OracleReport(comparisons, failures, float(worst))
+    worst, worst_at = 0.0, ""
+    for theta, p in product(GRID_THRESHOLDS, GRID_CHECK_PROBS):
+        pairs = list(combinations_with_replacement((ALLC, ALLD, TFT, tuc(theta, p), tud(theta)), 2))
+        for a, b in pairs:
+            if (a, b) not in priced:
+                counts = expected_outcomes(a, b, max(GRID_ROUNDS))
+                priced[a, b] = (counts[rounds - 1] @ prices[:, :, None])[..., 0] / rounds[:, None]
+        kept = [g for g, (r, _, _) in enumerate(grid) if r > theta]
+        exact = np.array([priced[pair][kept] for pair in pairs])
+        entries = (
+            analytic_entry(row, col, games[g])
+            for a, b in pairs for g in kept for row, col in ((a, b), (b, a))
+        )
+        analytic = np.fromiter(entries, float, exact.size).reshape(exact.shape)
+        ratio = _tolerance_ratio(analytic, exact, tolerance)
+        comparisons += ratio.size
+        failures += ratio.size - np.count_nonzero(ratio <= 1.0)
+        at = np.unravel_index(np.argmax(ratio), ratio.shape)  # the first NaN, if any
+        if not np.isnan(worst) and not ratio[at] <= worst:
+            worst = float(ratio[at])
+            row, col = pairs[at[0]][::-1] if at[2] else pairs[at[0]]
+            worst_at = "{} v {}, theta={}, p={}, rounds={}, cost={}, scale={}".format(
+                row.label, col.label, theta, p, *grid[kept[at[1]]]
+            )
+    return OracleReport(comparisons, int(failures), worst, worst_at)

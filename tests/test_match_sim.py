@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -289,8 +290,9 @@ class TestExpectedOutcomes:
             with pytest.raises(ParameterDomainError):
                 expected_outcomes(ALLC, ALLD, rounds)
 
-    def test_verify_walks_each_pair_once(self, monkeypatch):
-        """One walk per (theta, p, unordered pair): 4 * 5 * 15 = 300."""
+    def test_verify_walks_each_distinct_pair_once(self, monkeypatch):
+        """One walk per distinct pair: 6 among ALLC, ALLD and TFT, 4 TUD
+        pairs per theta and 5 TUC pairs per (theta, p): 6 + 16 + 100 = 122."""
         import trustevo.verification as verification
 
         calls = []
@@ -301,8 +303,110 @@ class TestExpectedOutcomes:
 
         monkeypatch.setattr(verification, "expected_outcomes", counted)
         report = run_oracle_verification()
-        assert len(calls) == 300
+        assert len(calls) == 122
+        assert len({(a, b) for a, b, _ in calls}) == 122
         assert report.comparisons == 17550 and report.ok
+
+
+def _scalar_ratio(analytic, exact, tolerance):
+    """The tolerance band in plain floats, one comparison at a time."""
+    gap = abs(analytic - exact)
+    scale = max(abs(analytic), abs(exact))
+    return gap / max(1e-12, tolerance * scale)
+
+
+def _scalar_verification(tolerance=1e-10):
+    """Reference loop: one walk per (theta, p, pair), priced one game and
+    compared one entry at a time, over the verification module's grid."""
+    import trustevo.verification as verification
+
+    games = []
+    for rounds, cost, scale in itertools.product(
+        verification.GRID_ROUNDS, verification.GRID_CHECK_COSTS, verification.GRID_SCALES
+    ):
+        game = make_prisoners_dilemma(
+            payoff_scale=scale, check_cost=cost, expected_rounds=float(rounds)
+        )
+        games.append((rounds, game, outcome_payoffs(game)))
+    comparisons = failures = 0
+    worst = 0.0
+    for theta, check_prob in itertools.product(
+        verification.GRID_THRESHOLDS, verification.GRID_CHECK_PROBS
+    ):
+        strategies = (ALLC, ALLD, TFT, tuc(theta, check_prob), tud(theta))
+        for a, b in itertools.combinations_with_replacement(strategies, 2):
+            counts = expected_outcomes(a, b, max(verification.GRID_ROUNDS))
+            for rounds, game, price in games:
+                if theta >= rounds:
+                    continue
+                exact_a, exact_b = counts[rounds - 1] @ price / rounds
+                for row, col, exact in ((a, b, exact_a), (b, a, exact_b)):
+                    analytic = verification.analytic_entry(row, col, game)
+                    ratio = _scalar_ratio(analytic, exact, tolerance)
+                    comparisons += 1
+                    failures += not ratio <= 1.0
+                    if math.isnan(ratio) or ratio > worst:
+                        worst = ratio
+    return comparisons, failures, float(worst)
+
+
+class TestOracleVerification:
+    @pytest.fixture
+    def small_grid(self, monkeypatch):
+        import trustevo.verification as verification
+
+        monkeypatch.setattr(verification, "GRID_THRESHOLDS", (3,))
+        monkeypatch.setattr(verification, "GRID_CHECK_PROBS", (0.0, 0.25))
+        monkeypatch.setattr(verification, "GRID_ROUNDS", (5, 20))
+        return verification
+
+    def test_matches_the_scalar_loop(self, small_grid):
+        report = run_oracle_verification()
+        assert report.comparisons == 2 * 15 * 2 * 9 * 2
+        expected = _scalar_verification()
+        assert (report.comparisons, report.failures, report.worst_tolerance_ratio) == expected
+
+    def test_a_nan_entry_matches_the_scalar_loop(self, small_grid, monkeypatch):
+        analytic_entry = small_grid.analytic_entry
+        game = make_prisoners_dilemma(expected_rounds=20.0)
+
+        def nan_at_one_entry(row, col, at):
+            if (row, col, at) == (tud(3), tuc(3, 0.25), game):
+                return math.nan
+            return analytic_entry(row, col, at)
+
+        monkeypatch.setattr(small_grid, "analytic_entry", nan_at_one_entry)
+        report = run_oracle_verification()
+        comparisons, failures, worst = _scalar_verification()
+        assert report.comparisons == comparisons
+        assert report.failures == failures == 1
+        assert math.isnan(report.worst_tolerance_ratio) and math.isnan(worst)
+        assert report.worst_at == "TUD v TUC, theta=3, p=0.25, rounds=20, cost=0.25, scale=1.0"
+
+    def test_worst_deviation_names_its_grid_point(self):
+        """The location is a grid entry whose own ratio is the worst one."""
+        import trustevo.verification as verification
+
+        report = run_oracle_verification()
+        found = re.fullmatch(
+            r"(\w+) v (\w+), theta=(\d+), p=(\S+), rounds=(\d+), cost=(\S+), scale=(\S+)",
+            report.worst_at,
+        )
+        assert found, report.worst_at
+        row, col, theta, prob, rounds, cost, scale = found.groups()
+        theta, rounds = int(theta), int(rounds)
+        prob, cost, scale = float(prob), float(cost), float(scale)
+        assert theta in verification.GRID_THRESHOLDS and prob in verification.GRID_CHECK_PROBS
+        assert rounds in verification.GRID_ROUNDS and theta < rounds
+        assert cost in verification.GRID_CHECK_COSTS and scale in verification.GRID_SCALES
+        specs = {s.label: s for s in (ALLC, ALLD, TFT, tuc(theta, prob), tud(theta))}
+        game = make_prisoners_dilemma(
+            payoff_scale=scale, check_cost=cost, expected_rounds=float(rounds)
+        )
+        exact, _ = exact_expected_payoffs(specs[row], specs[col], game)
+        analytic = analytic_entry(specs[row], specs[col], game)
+        assert _scalar_ratio(analytic, exact, 1e-10) == report.worst_tolerance_ratio
+        assert report.summary().endswith(f" of tolerance) in {report.worst_at}")
 
 
 class TestMonteCarlo:

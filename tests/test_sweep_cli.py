@@ -562,6 +562,13 @@ class TestCliNonFinite:
             ),
             (["simulate", "TUC", "TUD", "--payoff-scale", "1e308"], "non-finite value inf"),
             (["stationary", "--selection", "1e308"], "stationary solve failed"),
+            *(
+                (
+                    [*command, "--payoff-scale", "1e306"],
+                    r"payoff entries beyond 8\.99e\+305 overflow fixation sums at N=100",
+                )
+                for command in (["coop-report"], ["stationary"], ["fixation", "TUC", "ALLD"])
+            ),
         ],
     )
     def test_exit_two_with_empty_stdout(self, argv, message, capsys, tmp_path):
@@ -593,6 +600,19 @@ class TestCliVerify:
         )
         assert main(["verify"]) == 2
         assert capsys.readouterr().out.startswith("FAIL")
+
+    def test_summary_appends_the_location(self):
+        from trustevo.verification import OracleReport
+
+        report = OracleReport(comparisons=10, failures=1, worst_tolerance_ratio=2.0)
+        line = (
+            "FAIL: 9/10 oracle comparisons within 1e-10 relative tolerance "
+            "(worst deviation at 2.000e+00 of tolerance)"
+        )
+        assert report.summary() == line
+        where = "TUC v TUD, theta=3, p=0.1, rounds=20, cost=0.25, scale=1.0"
+        located = dataclasses.replace(report, worst_at=where)
+        assert located.summary() == f"{line} in {where}"
 
     def test_a_nan_entry_fails_verify(self, capsys, monkeypatch):
         """NaN compares false with everything, so it must not pass as in band."""
