@@ -34,6 +34,7 @@ from .metrics import cooperation_report
 from .payoffs import payoff_matrix
 from .strategies import ALLC, ALLD, TFT, strategy_from_label, tuc, tud
 from .sweep import (
+    PRESETS,
     SECTIONS,
     SweepConfig,
     parse_config,
@@ -193,7 +194,7 @@ def build_parser() -> _Parser:
     for command in ("payoff-matrix", "stationary"):
         sub.choices[command].add_argument("--set", choices=("three", "five"), default="five")
     source = sub.choices["sweep"].add_mutually_exclusive_group(required=True)
-    source.add_argument("--preset", help="named grid: fig3, fig4, fig5, appendix_theta5, appendix_theta10")
+    source.add_argument("--preset", help=f"named grid: {', '.join(PRESETS)}")
     source.add_argument("--config", help="INI sweep configuration file")
     simulate = sub.choices["simulate"]
     simulate.add_argument("--seed", type=int, default=0, help="random seed")

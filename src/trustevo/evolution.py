@@ -26,6 +26,7 @@ platform and numpy version, not across platforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -112,7 +113,10 @@ def fixation_matrix(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
         )
     n = params.population_size
     bound = np.finfo(float).max / (2 * n)  # |cumsum(advantage)| <= 2 (N - 1) max |entry|
-    if max(values.max(), -values.min()) > bound:
+    peak = max(values.max(), -values.min())  # NaN when any entry is NaN
+    if not math.isfinite(peak):
+        raise NumericalError("payoff table holds a non-finite entry")
+    if peak > bound:
         raise NumericalError(f"payoff entries beyond {bound:.3g} overflow fixation sums at N={n}")
     k = np.arange(1, n, dtype=float)
     own = np.diagonal(values)

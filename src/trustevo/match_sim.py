@@ -3,15 +3,19 @@
 This module never touches the closed forms in :mod:`trustevo.payoffs`.  It
 drives the behaviour machines of :mod:`trustevo.strategies` one round at a
 time, which makes it the independent oracle for every analytic entry.  All
-three entry points read one round step, which knows no game: for a joint
-state it gives both actions and, per player, the check probability and the
-(outcome code, next state) pairs without and with an observation.  The 12
-codes cross the result (T, R, P or S, from the player's side) with the
-observation: none, a paid check, or the check that catches a defection.
-:func:`outcome_payoffs` prices them for one game and cost convention.
+three entry points run one walk over joint states, which knows no game: each
+round, for each joint state, it plays both actions and takes each player's
+observation lottery branch by branch, a branch giving an outcome code and a
+next state.  The caller only says what mass a branch carries: a probability
+weight in the enumerator, a boolean mask of the samples whose draw picks it
+in a rollout.  States that cannot behave differently merge, their masses
+added.  The 12 codes cross the result (T, R, P or S, from the player's
+side) with the observation: none, a paid check, or the check that catches a
+defection.  :func:`outcome_payoffs` prices them for one game and cost
+convention.
 
 * :func:`play_match` rolls out one seeded match and returns the full trace.
-* :func:`expected_outcomes` weights each step outcome by its lottery
+* :func:`expected_outcomes` weights each outcome by its lottery
   probability into each code's expected count, as prefix sums over rounds:
   one walk serves every game, convention and shorter match.
   :func:`exact_expected_payoffs` prices its last row.
@@ -47,7 +51,6 @@ over more than one sample differ from those of earlier versions.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -145,23 +148,15 @@ _RESULTS = {(C, C): (1, 1), (C, D): (3, 0), (D, C): (0, 3), (D, D): (2, 2)}
 
 
 def _side(spec, state, result, opponent_action):
-    """``(prob, unseen, seen)``: the check probability and the (outcome code,
-    next state) pairs without and with an observation (None when prob is 0)."""
+    """``(prob, branches)``: the check probability and the (observed, outcome
+    code, next state) branches that can occur, the observed one first."""
     prob = check_probability(spec, state)
+    unseen = (False, result, state)
     if not prob > 0.0:
-        return prob, (result, state), None
+        return prob, (unseen,)
     after = observe(spec, state, True, opponent_action)
-    catch = after.reverted and not state.reverted
-    return prob, (result, state), (result + (8 if catch else 4), after)
-
-
-def _round_step(spec_a, spec_b, state_a, state_b):
-    """Both actions and, per player, the ``(prob, unseen, seen)`` of ``_side``."""
-    act_a = next_action(spec_a, state_a)
-    act_b = next_action(spec_b, state_b)
-    result_a, result_b = _RESULTS[act_a, act_b]
-    side_a = _side(spec_a, state_a, result_a, act_b)
-    return act_a, act_b, side_a, _side(spec_b, state_b, result_b, act_a)
+    seen = (True, result + (8 if after.reverted and not state.reverted else 4), after)
+    return prob, (seen,) if prob >= 1.0 else (seen, unseen)
 
 
 def _behaviour_key(spec: StrategySpec, state: StrategyState):
@@ -176,33 +171,44 @@ def _behaviour_key(spec: StrategySpec, state: StrategyState):
     return level, state.trusting, state.reverted, state.last_observed
 
 
-def _walk(spec_a, spec_b, rounds, mass, advance, merge):
-    """Walk the joint states for ``rounds`` rounds: ``advance(i, mass, state_a,
-    state_b)`` yields one state's successors, and those with equal behaviour
-    keys keep the first states and combine their masses with ``merge``."""
+def _walk(spec_a, spec_b, rounds, mass, split, record):
+    """Walk the joint states for ``rounds`` rounds from ``mass``.
+
+    ``split(i, player, mass, prob, observed)`` gives the mass of one branch of
+    a player's observation lottery in round ``i``, or None for an empty one,
+    and ``record(i, mass, act_a, act_b, code_a, code_b)`` takes each joint
+    outcome.  Successors with equal behaviour keys keep the first states and
+    add their masses with ``+``: weights sum and boolean sample masks unite.
+    """
     frontier = [(mass, initial_state(spec_a), initial_state(spec_b))]
     for i in range(rounds):
         successors = {}
-        for entry in frontier:
-            for mass, sa, sb in advance(i, *entry):
-                key = (_behaviour_key(spec_a, sa), _behaviour_key(spec_b, sb))
-                hit = successors.get(key)
-                successors[key] = (
-                    (mass, sa, sb) if hit is None else (merge(hit[0], mass),) + hit[1:]
-                )
+        for mass, sa, sb in frontier:
+            act_a = next_action(spec_a, sa)
+            act_b = next_action(spec_b, sb)
+            result_a, result_b = _RESULTS[act_a, act_b]
+            prob_a, branches_a = _side(spec_a, sa, result_a, act_b)
+            prob_b, branches_b = _side(spec_b, sb, result_b, act_a)
+            for seen_a, code_a, sa2 in branches_a:
+                part = split(i, 0, mass, prob_a, seen_a)
+                if part is None:
+                    continue
+                for seen_b, code_b, sb2 in branches_b:
+                    cell = split(i, 1, part, prob_b, seen_b)
+                    if cell is None:
+                        continue
+                    record(i, cell, act_a, act_b, code_a, code_b)
+                    key = (_behaviour_key(spec_a, sa2), _behaviour_key(spec_b, sb2))
+                    hit = successors.get(key)
+                    successors[key] = (
+                        (cell, sa2, sb2) if hit is None else (hit[0] + cell,) + hit[1:]
+                    )
         if len(successors) > _STATE_LIMIT:
             raise StateSpaceError(
                 f"joint state count {len(successors)} exceeded the budget; "
                 "the behaviour key has stopped collapsing states"
             )
         frontier = successors.values()
-
-
-def _split(prob, unseen, seen, group, column):
-    """(sample mask, (outcome code, next state)) per non-empty lottery part."""
-    hit = group & (column < prob)
-    parts = ((hit, seen), (group & ~hit, unseen))
-    return [part for part in parts if part[0].any()]
 
 
 def _rollout(spec_a, spec_b, game, convention, draws, trace=None):
@@ -212,20 +218,21 @@ def _rollout(spec_a, spec_b, game, convention, draws, trace=None):
     samples, rounds, _ = draws.shape
     totals = np.zeros((2, samples))
 
-    def advance(i, group, sa, sb):
-        act_a, act_b, side_a, side_b = _round_step(spec_a, spec_b, sa, sb)
-        for part, (code_a, sa2) in _split(*side_a, group, draws[:, i, 0]):
-            for cell, (code_b, sb2) in _split(*side_b, part, draws[:, i, 1]):
-                pay_a, pay_b = payoffs[code_a], payoffs[code_b]
-                totals[0, cell] += pay_a
-                totals[1, cell] += pay_b
-                if trace is not None:
-                    trace.append((act_a, act_b, code_a >= 4, code_b >= 4, pay_a, pay_b))
-                yield cell, sa2, sb2
+    def split(i, player, group, prob, observed):
+        hit = draws[:, i, player] < prob
+        part = group & (hit if observed else ~hit)
+        return part if part.any() else None
+
+    def record(i, cell, act_a, act_b, code_a, code_b):
+        pay_a, pay_b = payoffs[code_a], payoffs[code_b]
+        totals[0, cell] += pay_a
+        totals[1, cell] += pay_b
+        if trace is not None:
+            trace.append((act_a, act_b, code_a >= 4, code_b >= 4, pay_a, pay_b))
 
     # A total past the float range becomes inf; monte_carlo_payoffs refuses it.
     with np.errstate(over="ignore"):
-        _walk(spec_a, spec_b, rounds, np.ones(samples, bool), advance, operator.or_)
+        _walk(spec_a, spec_b, rounds, np.ones(samples, bool), split, record)
     return totals
 
 
@@ -282,15 +289,6 @@ def monte_carlo_payoffs(
     )
 
 
-def _lottery(prob, unseen, seen, weight):
-    """(weight, outcome code, next state) per outcome of one observation lottery."""
-    if not prob > 0.0:
-        return ((weight, *unseen),)
-    if prob >= 1.0:
-        return ((weight, *seen),)
-    return ((weight * prob, *seen), (weight * (1.0 - prob), *unseen))
-
-
 def expected_outcomes(spec_a: StrategySpec, spec_b: StrategySpec, rounds: int) -> np.ndarray:
     """Expected outcome counts as a (rounds, 2, 12) array: ``[i, player, code]``
     counts the first ``i + 1`` rounds in which ``player`` (0 for ``spec_a``)
@@ -298,16 +296,14 @@ def expected_outcomes(spec_a: StrategySpec, spec_b: StrategySpec, rounds: int) -
     require_int("rounds", rounds, 1)
     counts = [[0.0] * 24 for _ in range(rounds)]
 
-    def advance(i, weight, sa, sb):
-        _, _, side_a, side_b = _round_step(spec_a, spec_b, sa, sb)
-        row = counts[i]
-        for wa, code_a, sa2 in _lottery(*side_a, weight):
-            for w, code_b, sb2 in _lottery(*side_b, wa):
-                row[code_a] += w
-                row[12 + code_b] += w
-                yield w, sa2, sb2
+    def split(i, player, weight, prob, observed):
+        return weight * (prob if observed else 1.0 - prob)
 
-    _walk(spec_a, spec_b, rounds, 1.0, advance, operator.add)
+    def record(i, weight, act_a, act_b, code_a, code_b):
+        counts[i][code_a] += weight
+        counts[i][12 + code_b] += weight
+
+    _walk(spec_a, spec_b, rounds, 1.0, split, record)
     return np.cumsum(np.reshape(counts, (rounds, 2, 12)), axis=0)
 
 

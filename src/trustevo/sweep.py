@@ -93,39 +93,26 @@ class SweepConfig:
         }
 
 
-def _epsilon_grid() -> tuple[float, ...]:
-    return tuple(i / 20 for i in range(21))
+_CHECK_COSTS = tuple(i / 20 for i in range(21))
+_CHECK_PROBS = tuple(1.0 / v for v in (1, 2, 3, 4, 5, 8, 10, 15, 20, 25, 33, 50))
+_SCALES = tuple(float(x) for x in np.logspace(-1.0, 3.0, 25))
+
+# The named grids of the package's reference figures: SweepConfig keyword
+# arguments besides the game, which is always make_prisoners_dilemma().
+PRESETS = {
+    "fig3": {"axes": (("check_cost", _CHECK_COSTS),)},
+    "fig4": {"axes": (("expected_rounds", (20.0, 50.0)), ("payoff_scale", _SCALES))},
+    "fig5": {"axes": (("check_prob", _CHECK_PROBS), ("check_cost", _CHECK_COSTS))},
+    "appendix_theta5": {"trust_threshold": 5, "axes": (("check_cost", _CHECK_COSTS),)},
+    "appendix_theta10": {"trust_threshold": 10, "axes": (("check_cost", _CHECK_COSTS),)},
+}
 
 
 def preset_config(name: str) -> SweepConfig:
-    """Named sweep grids for the package's reference figures."""
-    base = make_prisoners_dilemma()
-    if name == "fig3":
-        return SweepConfig(game=base, axes=(("check_cost", _epsilon_grid()),))
-    if name == "fig4":
-        scales = tuple(float(x) for x in np.logspace(-1.0, 3.0, 25))
-        return SweepConfig(
-            game=base,
-            axes=(("expected_rounds", (20.0, 50.0)), ("payoff_scale", scales)),
-        )
-    if name == "fig5":
-        probs = tuple(1.0 / v for v in (1, 2, 3, 4, 5, 8, 10, 15, 20, 25, 33, 50))
-        return SweepConfig(
-            game=base,
-            axes=(("check_prob", probs), ("check_cost", _epsilon_grid())),
-        )
-    if name == "appendix_theta5":
-        return SweepConfig(
-            game=base, trust_threshold=5, axes=(("check_cost", _epsilon_grid()),)
-        )
-    if name == "appendix_theta10":
-        return SweepConfig(
-            game=base, trust_threshold=10, axes=(("check_cost", _epsilon_grid()),)
-        )
-    raise ConfigError(
-        f"unknown preset {name!r}; valid presets: fig3, fig4, fig5, "
-        "appendix_theta5, appendix_theta10"
-    )
+    """The sweep grid of a name in ``PRESETS``."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; valid presets: {', '.join(PRESETS)}")
+    return SweepConfig(game=make_prisoners_dilemma(), **PRESETS[name])
 
 
 def _parse_values(text: str, key: str) -> tuple[float, ...]:

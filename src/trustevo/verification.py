@@ -65,13 +65,13 @@ def _tolerance_ratio(analytic, exact, tolerance: float):
         return abs(analytic - exact) / np.maximum(1e-12, tolerance * scale)
 
 
-def run_oracle_verification(tolerance: float = TOLERANCE) -> OracleReport:
+def run_oracle_verification() -> OracleReport:
     """Compare every ordered pair entry over the standard grid.
 
     Grid combinations with theta >= rounds are skipped because the closed
-    forms are undefined there.  A comparison fails unless its ratio is at
-    most 1, so a NaN on either route fails, and the worst ratio and its
-    location are then those of the first NaN.
+    forms are undefined there.  A comparison fails unless its ratio to
+    ``TOLERANCE`` is at most 1, so a NaN on either route fails, and the worst
+    ratio and its location are then those of the first NaN.
     """
     grid = list(product(GRID_ROUNDS, GRID_CHECK_COSTS, GRID_SCALES))
     games = [
@@ -96,7 +96,7 @@ def run_oracle_verification(tolerance: float = TOLERANCE) -> OracleReport:
             for a, b in pairs for g in kept for row, col in ((a, b), (b, a))
         )
         analytic = np.fromiter(entries, float, exact.size).reshape(exact.shape)
-        ratio = _tolerance_ratio(analytic, exact, tolerance)
+        ratio = _tolerance_ratio(analytic, exact, TOLERANCE)
         comparisons += ratio.size
         failures += ratio.size - np.count_nonzero(ratio <= 1.0)
         at = np.unravel_index(np.argmax(ratio), ratio.shape)  # the first NaN, if any

@@ -199,6 +199,13 @@ class TestFixationProbability:
         assert 0.0 <= doomed < 1e-100
         assert favoured > 0.999
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_table_is_refused(self, bad):
+        """A NaN entry would pass the overflow bound, which compares false."""
+        values = np.array([[bad, 1.0], [1.0, 1.0]])
+        with pytest.raises(NumericalError, match="non-finite"):
+            fixation_probability(values, 1, 0, EvolutionParams(100, 0.1))
+
 
 class TestMarkovChain:
     def test_rows_sum_to_one(self):

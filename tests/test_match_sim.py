@@ -240,12 +240,21 @@ class TestExactEnumeration:
                 row.label, col.label, predicted, exact,
             )
 
-    def test_state_budget_guard(self, monkeypatch):
-        import trustevo.match_sim as match_sim
-
+    @pytest.mark.parametrize(
+        "walk",
+        [
+            lambda: exact_expected_payoffs(tuc(3, 0.25), tud(3), DEFAULT_GAME),
+            lambda: monte_carlo_payoffs(tuc(3, 0.25), tud(3), DEFAULT_GAME, samples=200),
+        ],
+        ids=["enumerator", "rollout"],
+    )
+    def test_state_budget_guard(self, monkeypatch, walk):
+        """The enumerator and the rollout share one walk and its joint-state
+        budget.  A one-sample play_match never holds two states, so Monte
+        Carlo pins the rollout."""
         monkeypatch.setattr(match_sim, "_STATE_LIMIT", 1)
         with pytest.raises(StateSpaceError):
-            exact_expected_payoffs(tuc(3, 0.25), tud(3), DEFAULT_GAME)
+            walk()
 
 
 def _results(counts):
