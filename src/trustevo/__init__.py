@@ -11,7 +11,6 @@ abundances and population cooperation frequencies.
 from .errors import (
     AlternationDominanceError,
     ConfigError,
-    ContractViolationError,
     DilemmaViolationError,
     NumericalError,
     ParameterDomainError,
@@ -27,14 +26,8 @@ from .evolution import (
     markov_transition_matrix,
     simulate_fixation,
     stationary_distribution,
-    stationary_distribution_power,
 )
-from .game_model import (
-    GameSpec,
-    expected_rounds_from_continuation,
-    make_donation_game,
-    make_prisoners_dilemma,
-)
+from .game_model import GameSpec, make_prisoners_dilemma
 from .match_sim import (
     CostConvention,
     MatchOutcome,
@@ -75,7 +68,6 @@ __all__ = [
     "Action",
     "AlternationDominanceError",
     "ConfigError",
-    "ContractViolationError",
     "CooperationReport",
     "CostConvention",
     "DilemmaViolationError",
@@ -99,13 +91,11 @@ __all__ = [
     "check_probability",
     "cooperation_report",
     "exact_expected_payoffs",
-    "expected_rounds_from_continuation",
     "fermi_probability",
     "fixation_matrix",
     "fixation_probability",
     "group_payoffs",
     "initial_state",
-    "make_donation_game",
     "make_prisoners_dilemma",
     "markov_transition_matrix",
     "monte_carlo_payoffs",
@@ -121,7 +111,6 @@ __all__ = [
     "selfplay_cooperation_index",
     "simulate_fixation",
     "stationary_distribution",
-    "stationary_distribution_power",
     "strategy_from_label",
     "tuc",
     "tud",

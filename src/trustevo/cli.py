@@ -16,7 +16,6 @@ import sys
 from .errors import (
     AlternationDominanceError,
     ConfigError,
-    ContractViolationError,
     DilemmaViolationError,
     NumericalError,
     ParameterDomainError,
@@ -28,7 +27,7 @@ from .evolution import (
     markov_transition_matrix,
     stationary_distribution,
 )
-from .game_model import GameSpec, make_prisoners_dilemma
+from .game_model import GameSpec
 from .match_sim import CostConvention, monte_carlo_payoffs, play_match
 from .metrics import cooperation_report
 from .payoffs import payoff_matrix
@@ -178,7 +177,7 @@ def build_parser() -> _Parser:
         description="Evolution of trust-based strategies in the repeated prisoner's dilemma.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = SweepConfig(game=make_prisoners_dilemma()).base_parameters()
+    defaults = SweepConfig().base_parameters()
     for command, (_, help_text, positionals, sections) in _SUBCOMMANDS.items():
         cmd = sub.add_parser(command, help=help_text)
         for name in positionals:
@@ -217,7 +216,6 @@ def main(argv=None) -> int:
         ParameterDomainError,
         DilemmaViolationError,
         AlternationDominanceError,
-        ContractViolationError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,10 +13,6 @@ class AlternationDominanceError(ValueError):
     """Alternating unilateral defection would beat mutual cooperation."""
 
 
-class ContractViolationError(RuntimeError):
-    """An operation was called in a way its contract forbids."""
-
-
 class StateSpaceError(RuntimeError):
     """Internal guard: exact match enumeration exceeded its state budget."""
 

@@ -154,8 +154,7 @@ def chain_from_fixation(fixation: np.ndarray) -> np.ndarray:
     size = fixation.shape[0]
     matrix = fixation / (size - 1)
     np.fill_diagonal(matrix, 0.0)
-    for i in range(size):
-        matrix[i, i] = 1.0 - matrix[i].sum()
+    np.fill_diagonal(matrix, 1.0 - matrix.sum(axis=1))
     return matrix
 
 
@@ -218,26 +217,6 @@ def stationary_distribution(
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     return StationaryDistribution(labels, pi)
-
-
-def stationary_distribution_power(
-    transition: np.ndarray,
-    tolerance: float = 1e-14,
-    max_iterations: int = 1_000_000,
-) -> np.ndarray:
-    """Power iteration from the uniform vector; kept as a cross-check oracle."""
-    transition = np.asarray(transition, dtype=float)
-    size = transition.shape[0]
-    pi = np.full(size, 1.0 / size)
-    for _ in range(max_iterations):
-        nxt = pi @ transition
-        nxt /= nxt.sum()
-        if float(np.abs(nxt - pi).max()) < tolerance:
-            return nxt
-        pi = nxt
-    raise NumericalError(
-        f"power iteration did not converge within {max_iterations} iterations"
-    )
 
 
 def simulate_fixation(

@@ -5,13 +5,15 @@ punishment, sucker), a positive scale factor applied to all four table
 payoffs, a per-observation cost that is deliberately *not* scaled, and the
 expected number of rounds per match.  Validation enforces the strict
 prisoner's dilemma ordering T > R > P > S together with 2R > T + S so that
-mutual cooperation beats alternating unilateral defection.
+mutual cooperation beats alternating unilateral defection.  The field
+defaults are the package's default game: T=2, R=1, P=0, S=-1, unit stake,
+check cost 0.25 and 50 expected rounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, fields
 
 from .errors import (
     AlternationDominanceError,
@@ -44,21 +46,20 @@ class GameSpec:
         tables.  Finiteness, scale, cost and round-count domains are always enforced.
     """
 
-    temptation: float
-    reward: float
-    punishment: float
-    sucker: float
+    temptation: float = 2.0
+    reward: float = 1.0
+    punishment: float = 0.0
+    sucker: float = -1.0
     payoff_scale: float = 1.0
-    check_cost: float = 0.0
+    check_cost: float = 0.25
     expected_rounds: float = 50.0
     enforce_dilemma: InitVar[bool] = True
 
     def __post_init__(self, enforce_dilemma: bool) -> None:
-        for name in ("temptation", "reward", "punishment", "sucker",
-                     "payoff_scale", "check_cost", "expected_rounds"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not math.isfinite(value):
-                raise ParameterDomainError(f"{name} must be finite, got {value}")
+                raise ParameterDomainError(f"{field.name} must be finite, got {value}")
         if not self.payoff_scale > 0:
             raise ParameterDomainError(
                 f"payoff_scale must be positive, got {self.payoff_scale}"
@@ -102,60 +103,5 @@ class GameSpec:
         return max(1, int(round(self.expected_rounds)))
 
 
-def make_prisoners_dilemma(
-    temptation: float = 2.0,
-    reward: float = 1.0,
-    punishment: float = 0.0,
-    sucker: float = -1.0,
-    payoff_scale: float = 1.0,
-    check_cost: float = 0.25,
-    expected_rounds: float = 50.0,
-) -> GameSpec:
-    """Build a validated game with the package-wide default table."""
-    return GameSpec(
-        temptation=temptation,
-        reward=reward,
-        punishment=punishment,
-        sucker=sucker,
-        payoff_scale=payoff_scale,
-        check_cost=check_cost,
-        expected_rounds=expected_rounds,
-    )
-
-
-def make_donation_game(
-    benefit: float,
-    cost: float,
-    payoff_scale: float = 1.0,
-    check_cost: float = 0.25,
-    expected_rounds: float = 50.0,
-) -> GameSpec:
-    """Build the donation game T=b, R=b-c, P=0, S=-c.
-
-    Any benefit b > cost c > 0 satisfies both dilemma inequalities, so the
-    resulting spec always validates.
-    """
-    if not cost > 0:
-        raise ParameterDomainError(f"donation cost must be positive, got {cost}")
-    if not benefit > cost:
-        raise ParameterDomainError(
-            f"donation benefit must exceed the cost, got b={benefit} <= c={cost}"
-        )
-    return GameSpec(
-        temptation=benefit,
-        reward=benefit - cost,
-        punishment=0.0,
-        sucker=-cost,
-        payoff_scale=payoff_scale,
-        check_cost=check_cost,
-        expected_rounds=expected_rounds,
-    )
-
-
-def expected_rounds_from_continuation(continuation: float) -> float:
-    """Expected match length 1/(1-w) for a per-round continuation probability w."""
-    if not 0 <= continuation < 1:
-        raise ParameterDomainError(
-            f"continuation probability must lie in [0, 1), got {continuation}"
-        )
-    return 1.0 / (1.0 - continuation)
+# Another name for the class: ``make_prisoners_dilemma()`` is ``GameSpec()``.
+make_prisoners_dilemma = GameSpec

@@ -154,7 +154,7 @@ def _side(spec, state, result, opponent_action):
     unseen = (False, result, state)
     if not prob > 0.0:
         return prob, (unseen,)
-    after = observe(spec, state, True, opponent_action)
+    after = observe(spec, state, opponent_action)
     seen = (True, result + (8 if after.reverted and not state.reverted else 4), after)
     return prob, (seen,) if prob >= 1.0 else (seen, unseen)
 

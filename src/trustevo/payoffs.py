@@ -139,11 +139,6 @@ class PayoffMatrix:
     def __post_init__(self) -> None:
         self.labels = tuple(s.label for s in self.strategies)
 
-    def entry(self, row_label: str, col_label: str) -> float:
-        i = self.labels.index(row_label)
-        j = self.labels.index(col_label)
-        return float(self.values[i, j])
-
 
 def payoff_matrix(strategies: tuple[StrategySpec, ...], game: GameSpec) -> PayoffMatrix:
     """Closed-form payoff table over an ordered set of distinct strategy kinds."""

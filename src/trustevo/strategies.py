@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .errors import ContractViolationError, ParameterDomainError, require_int
+from .errors import ParameterDomainError, require_int
 
 
 class Action(Enum):
@@ -149,19 +149,12 @@ def check_probability(spec: StrategySpec, state: StrategyState) -> float:
     return spec.check_prob if prob == _P else prob
 
 
-def observe(
-    spec: StrategySpec,
-    state: StrategyState,
-    checked: bool,
-    opponent_action: Action,
-) -> StrategyState:
+def observe(spec: StrategySpec, state: StrategyState, opponent_action: Action) -> StrategyState:
     """Update state after an observed round.
 
-    Must only be called for rounds the player actually observed; the trust
-    ledger counts observed actions exclusively.
+    Call it only for rounds the player actually observed; the trust ledger
+    counts observed actions exclusively.
     """
-    if not checked:
-        raise ContractViolationError("observe() called for an unobserved round")
     cooperated = opponent_action is Action.COOPERATE
     level = state.trust_level + (1 if cooperated else -1)
     trusting = state.trusting

@@ -7,10 +7,10 @@ the listed axis order with the last axis varying fastest; nothing is random,
 so a sweep is byte-identical run to run.
 
 The eleven base parameters are listed once, by INI section, in ``SECTIONS``:
-the :class:`GameSpec` fields under ``[game]`` (defaults from
-:func:`make_prisoners_dilemma`), then ``[evolution]`` and ``[trust]``.  The
-INI parser, :meth:`SweepConfig.base_parameters`, :func:`evaluate_point` and
-the command line options take their names from it.  A section's INI key is
+the :class:`GameSpec` fields under ``[game]`` (defaults from ``GameSpec()``),
+then ``[evolution]`` and ``[trust]``.  The INI parser,
+:meth:`SweepConfig.base_parameters`, :func:`evaluate_point` and the command
+line options take their names from it.  A section's INI key is
 the parameter name without the section prefix (``[trust] threshold`` is
 ``trust_threshold``); each key under ``[sweep]`` is a full name and adds one
 axis, whose values are an explicit comma list, ``lin:start:stop:count`` or
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .evolution import EvolutionParams
-from .game_model import GameSpec, make_prisoners_dilemma
+from .game_model import GameSpec
 from .metrics import cooperation_report
 
 DEFAULT_POPULATION = 100
@@ -57,7 +57,7 @@ STRATEGY_ORDER = ("ALLC", "ALLD", "TFT", "TUC", "TUD")
 class SweepConfig:
     """Base parameters plus ordered sweep axes."""
 
-    game: GameSpec
+    game: GameSpec = GameSpec()
     population: int = DEFAULT_POPULATION
     selection_strength: float = DEFAULT_SELECTION
     trust_threshold: int = DEFAULT_TRUST_THRESHOLD
@@ -98,7 +98,7 @@ _CHECK_PROBS = tuple(1.0 / v for v in (1, 2, 3, 4, 5, 8, 10, 15, 20, 25, 33, 50)
 _SCALES = tuple(float(x) for x in np.logspace(-1.0, 3.0, 25))
 
 # The named grids of the package's reference figures: SweepConfig keyword
-# arguments besides the game, which is always make_prisoners_dilemma().
+# arguments besides the game, which is always the default ``GameSpec()``.
 PRESETS = {
     "fig3": {"axes": (("check_cost", _CHECK_COSTS),)},
     "fig4": {"axes": (("expected_rounds", (20.0, 50.0)), ("payoff_scale", _SCALES))},
@@ -112,7 +112,7 @@ def preset_config(name: str) -> SweepConfig:
     """The sweep grid of a name in ``PRESETS``."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; valid presets: {', '.join(PRESETS)}")
-    return SweepConfig(game=make_prisoners_dilemma(), **PRESETS[name])
+    return SweepConfig(**PRESETS[name])
 
 
 def _parse_values(text: str, key: str) -> tuple[float, ...]:
@@ -146,15 +146,25 @@ def _parse_values(text: str, key: str) -> tuple[float, ...]:
 
 
 def parse_config(path: str) -> SweepConfig:
-    """Load a sweep configuration from an INI file."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
+    """Load a sweep configuration from an INI file.
+
+    Values are read literally (no ``%`` interpolation).  A file configparser
+    refuses, or one with a ``[DEFAULT]`` section, raises ``ConfigError``.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file: {' '.join(str(exc).split())}") from None
+    if not found:
         raise ConfigError(f"cannot read config file {path!r}")
     stray = set(parser.sections()) - set(SECTIONS) - {"sweep"}
+    if parser.defaults():  # its keys would leak into every other section
+        stray.add("DEFAULT")
     if stray:
         raise ConfigError(f"unknown config sections: {', '.join(sorted(stray))}")
 
-    settings = SweepConfig(game=make_prisoners_dilemma()).base_parameters()
+    settings = SweepConfig().base_parameters()
     for section, names in SECTIONS.items():
         entries = parser[section] if parser.has_section(section) else {}
         keys = {name.removeprefix(f"{section}_"): name for name in names}

@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .game_model import make_prisoners_dilemma
+from .game_model import GameSpec
 from .match_sim import expected_outcomes, outcome_payoffs
 from .payoffs import analytic_entry
 from .strategies import ALLC, ALLD, TFT, tuc, tud
@@ -75,7 +75,7 @@ def run_oracle_verification() -> OracleReport:
     """
     grid = list(product(GRID_ROUNDS, GRID_CHECK_COSTS, GRID_SCALES))
     games = [
-        make_prisoners_dilemma(payoff_scale=scale, check_cost=cost, expected_rounds=float(rounds))
+        GameSpec(payoff_scale=scale, check_cost=cost, expected_rounds=float(rounds))
         for rounds, cost, scale in grid
     ]
     rounds = np.array([r for r, _, _ in grid])

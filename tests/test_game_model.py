@@ -1,17 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from trustevo.errors import (
     AlternationDominanceError,
     DilemmaViolationError,
     ParameterDomainError,
 )
-from trustevo.game_model import (
-    GameSpec,
-    expected_rounds_from_continuation,
-    make_donation_game,
-    make_prisoners_dilemma,
-)
+from trustevo.game_model import GameSpec, make_prisoners_dilemma
 
 
 class TestGameSpecValidation:
@@ -24,6 +18,12 @@ class TestGameSpecValidation:
             0.0,
             -1.0,
         )
+
+    def test_default_game_has_one_home(self):
+        """``GameSpec()`` is the default game; the factory name is the class."""
+        assert make_prisoners_dilemma is GameSpec
+        game = GameSpec()
+        assert (game.payoff_scale, game.check_cost, game.expected_rounds) == (1.0, 0.25, 50.0)
 
     def test_temptation_must_exceed_reward(self):
         with pytest.raises(DilemmaViolationError, match="temptation > reward"):
@@ -100,54 +100,3 @@ class TestSimulationRounds:
 
     def test_never_below_one(self):
         assert make_prisoners_dilemma(expected_rounds=1.0).simulation_rounds() == 1
-
-
-class TestDonationGame:
-    def test_mapping(self):
-        """b=3, c=1 maps to T=3, R=2, P=0, S=-1."""
-        game = make_donation_game(benefit=3.0, cost=1.0)
-        assert (game.temptation, game.reward, game.punishment, game.sucker) == (
-            3.0,
-            2.0,
-            0.0,
-            -1.0,
-        )
-
-    def test_rejects_cost_at_or_above_benefit(self):
-        with pytest.raises(ParameterDomainError):
-            make_donation_game(benefit=1.0, cost=1.0)
-        with pytest.raises(ParameterDomainError):
-            make_donation_game(benefit=1.0, cost=2.0)
-
-    def test_rejects_non_positive_cost(self):
-        with pytest.raises(ParameterDomainError):
-            make_donation_game(benefit=1.0, cost=0.0)
-
-    @given(
-        cost=st.floats(min_value=1e-3, max_value=1e3),
-        margin=st.floats(min_value=1e-3, max_value=1e3),
-    )
-    def test_any_valid_benefit_cost_pair_is_a_dilemma(self, cost, margin):
-        """Every b > c > 0 passes both ordering checks without an override."""
-        make_donation_game(benefit=cost + margin, cost=cost)
-
-
-class TestContinuationProbability:
-    def test_canonical_value(self):
-        """w = 0.98 corresponds to 50 expected rounds."""
-        assert expected_rounds_from_continuation(0.98) == pytest.approx(50.0)
-
-    def test_zero_continuation_is_one_round(self):
-        assert expected_rounds_from_continuation(0.0) == 1.0
-
-    def test_domain(self):
-        with pytest.raises(ParameterDomainError):
-            expected_rounds_from_continuation(1.0)
-        with pytest.raises(ParameterDomainError):
-            expected_rounds_from_continuation(-0.1)
-
-    @given(st.floats(min_value=0.0, max_value=0.999999))
-    def test_round_trip(self, w):
-        """Inverting r = 1/(1-w) recovers w to machine precision."""
-        r = expected_rounds_from_continuation(w)
-        assert 1.0 - 1.0 / r == pytest.approx(w, abs=1e-12)

@@ -496,11 +496,11 @@ def _reference_match(spec_a, spec_b, game, convention, draws):
         if check_a:
             if charged(spec_a, state_a, act_b):
                 pay_a -= game.check_cost
-            state_a = observe(spec_a, state_a, True, act_b)
+            state_a = observe(spec_a, state_a, act_b)
         if check_b:
             if charged(spec_b, state_b, act_a):
                 pay_b -= game.check_cost
-            state_b = observe(spec_b, state_b, True, act_a)
+            state_b = observe(spec_b, state_b, act_a)
         total_a += pay_a
         total_b += pay_b
         rows.append((act_a, act_b, check_a, check_b, pay_a, pay_b))

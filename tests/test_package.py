@@ -1,0 +1,26 @@
+import re
+import types
+from pathlib import Path
+
+import trustevo
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_quickstart_runs(capsys):
+    """Every fenced python block of the README runs against the package."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out
+
+
+def test_all_lists_every_public_name_once():
+    exported = trustevo.__all__
+    assert len(exported) == len(set(exported))
+    bound = {
+        name for name, value in vars(trustevo).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(exported) == bound

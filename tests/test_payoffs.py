@@ -140,8 +140,8 @@ class TestMatrixConstruction:
 
     def test_entry_lookup_matches_direct_evaluation(self):
         matrix = payoff_matrix(DEFAULT_SET, DEFAULT_GAME)
-        assert matrix.entry("TFT", "ALLD") == analytic_entry(TFT, ALLD, DEFAULT_GAME)
-        assert matrix.entry("TUD", "TUC") == analytic_entry(
+        assert matrix.values[2, 1] == analytic_entry(TFT, ALLD, DEFAULT_GAME)
+        assert matrix.values[4, 3] == analytic_entry(
             tud(3), tuc(3, 0.25), DEFAULT_GAME
         )
 
@@ -168,7 +168,7 @@ class TestMatrixConstruction:
     def test_subset_matrix(self):
         matrix = payoff_matrix((ALLC, ALLD, TFT), DEFAULT_GAME)
         assert matrix.values.shape == (3, 3)
-        assert matrix.entry("ALLC", "ALLD") == -1.0
+        assert matrix.values[0, 1] == -1.0
 
 
 class TestThresholdGuards:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import trustevo.match_sim as match_sim
-from trustevo.errors import ContractViolationError, ParameterDomainError
+from trustevo.errors import ParameterDomainError
 from trustevo.game_model import make_prisoners_dilemma
 from trustevo.match_sim import CostConvention
 from trustevo.strategies import (
@@ -30,7 +30,7 @@ def play_observed(spec, actions):
     """Fold a fully observed action sequence into a final state."""
     state = initial_state(spec)
     for action in actions:
-        state = observe(spec, state, checked=True, opponent_action=action)
+        state = observe(spec, state, opponent_action=action)
     return state
 
 
@@ -91,9 +91,9 @@ class TestClassics:
     def test_tft_opens_with_cooperation_then_mirrors(self):
         state = initial_state(TFT)
         assert next_action(TFT, state) is C
-        state = observe(TFT, state, True, D)
+        state = observe(TFT, state, D)
         assert next_action(TFT, state) is D
-        state = observe(TFT, state, True, C)
+        state = observe(TFT, state, C)
         assert next_action(TFT, state) is C
 
     def test_tft_checks_every_round(self):
@@ -122,17 +122,17 @@ class TestTrustUntilCaught:
         state = play_observed(spec, [C, D, C, C])
         assert not state.trusting
         assert state.trust_level == 2
-        state = observe(spec, state, True, C)
+        state = observe(spec, state, C)
         assert state.trusting
 
     def test_caught_defection_reverts_permanently(self):
         spec = tuc(3, 0.25)
         state = play_observed(spec, [C, C, C])
-        state = observe(spec, state, True, D)
+        state = observe(spec, state, D)
         assert state.trusting and state.reverted
         assert next_action(spec, state) is D
         assert check_probability(spec, state) == 1.0
-        state = observe(spec, state, True, C)
+        state = observe(spec, state, C)
         assert state.reverted
         assert check_probability(spec, state) == 1.0
         assert next_action(spec, state) is C
@@ -151,7 +151,7 @@ class TestTrustThenDefect:
         spec = tud(3)
         state = play_observed(spec, [C, C])
         assert next_action(spec, state) is C
-        state = observe(spec, state, True, C)
+        state = observe(spec, state, C)
         assert state.trusting
         assert next_action(spec, state) is D
 
@@ -159,7 +159,7 @@ class TestTrustThenDefect:
         spec = tud(3)
         state = play_observed(spec, [C, C])
         assert check_probability(spec, state) == 1.0
-        state = observe(spec, state, True, C)
+        state = observe(spec, state, C)
         assert check_probability(spec, state) == 0.0
 
 
@@ -191,12 +191,6 @@ class TestCheckDraw:
         assert not self.observes_in_round_four(0.0, below_one)
 
 
-class TestObservationContract:
-    def test_observe_requires_a_checked_round(self):
-        with pytest.raises(ContractViolationError):
-            observe(TFT, initial_state(TFT), checked=False, opponent_action=C)
-
-
 @given(
     actions=st.lists(st.sampled_from([C, D]), max_size=60),
     spec=st.sampled_from([ALLC, ALLD, TFT, tuc(3, 0.25), tuc(1, 0.5), tud(3), tud(1)]),
@@ -220,7 +214,7 @@ def test_trust_latches_exactly_when_running_net_hits_threshold(actions):
         state = initial_state(spec)
         running, expect_trusting = 0, False
         for action in actions:
-            state = observe(spec, state, True, action)
+            state = observe(spec, state, action)
             running += 1 if action is C else -1
             if running >= threshold:
                 expect_trusting = True

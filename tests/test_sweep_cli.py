@@ -31,6 +31,17 @@ from trustevo.sweep import (
 
 GOLDEN = Path(__file__).parent / "data" / "fig3_golden.csv"
 
+# INI bodies that configparser itself refuses or misreads: a duplicate key, a
+# duplicate section, no section header, a '%' in a value, and a [DEFAULT]
+# section, whose keys would otherwise leak into [sweep] as an axis.
+MALFORMED_INI = {
+    "duplicate-key": "[game]\ncheck_cost = 0.1\ncheck_cost = 0.2\n",
+    "duplicate-section": "[game]\nreward = 1.5\n[game]\nsucker = -0.5\n",
+    "no-section-header": "check_cost = 0.1\n",
+    "percent": "[game]\ncheck_cost = 5%\n",
+    "default-section": "[DEFAULT]\ncheck_cost = 0.3\n[sweep]\nreward = 1, 1.5\n",
+}
+
 
 def rows_to_csv(rows):
     buffer = io.StringIO()
@@ -297,6 +308,7 @@ check_prob = 0.6
             "[sweep]\npopulation = 10.5\n",
             "[trust]\nthreshold = 3.7\n",
             "[evolution]\npopulation = 10.5\n",
+            *MALFORMED_INI.values(),
         ):
             with pytest.raises(ConfigError):
                 parse_config(self.write(tmp_path, body))
@@ -520,6 +532,15 @@ class TestCliErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite" in captured.err
+
+    @pytest.mark.parametrize("body", MALFORMED_INI.values(), ids=MALFORMED_INI)
+    def test_malformed_config_is_an_error_line(self, body, tmp_path, capsys):
+        path = tmp_path / "sweep.ini"
+        path.write_text(body)
+        assert main(["sweep", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     def test_unwritable_output_path(self, capsys):
         assert main(["payoff-matrix", "--out", "/nonexistent/dir/x.csv"]) == 1
