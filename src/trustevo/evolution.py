@@ -17,11 +17,9 @@ a payoff table at once, directly when safe (which keeps neutral cases
 exact) and in log space when the exponents are large.
 
 ``simulate_fixation`` is the stochastic check of those probabilities.  Each
-call draws binomials from one PCG64 stream seeded by its ``seed``; this
-stream replaced one uniform per run per step, so frequencies differ from
-those of earlier versions for the same seed.  Binomial sampling evaluates
-libm functions, so a seed reproduces its frequency bit for bit on one
-platform and numpy version, not across platforms.
+call draws binomials from one PCG64 stream seeded by its ``seed``.  Binomial
+sampling evaluates libm functions, so a seed reproduces its frequency bit for
+bit on one platform and numpy version, not across platforms.
 """
 
 from __future__ import annotations

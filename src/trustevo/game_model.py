@@ -13,7 +13,7 @@ check cost 0.25 and 50 expected rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .errors import (
     AlternationDominanceError,
@@ -40,10 +40,7 @@ class GameSpec:
         Charged in raw units, never multiplied by ``payoff_scale``.
     expected_rounds
         Expected match length r >= 1.  Closed-form payoffs accept any real
-        value; round-by-round simulation requires an integer round count.
-    enforce_dilemma
-        Set to False to skip the ordering checks for exploratory non-dilemma
-        tables.  Finiteness, scale, cost and round-count domains are always enforced.
+        value; round-by-round simulation plays it rounded to an integer.
     """
 
     temptation: float = 2.0
@@ -53,9 +50,8 @@ class GameSpec:
     payoff_scale: float = 1.0
     check_cost: float = 0.25
     expected_rounds: float = 50.0
-    enforce_dilemma: InitVar[bool] = True
 
-    def __post_init__(self, enforce_dilemma: bool) -> None:
+    def __post_init__(self) -> None:
         for field in fields(self):
             value = getattr(self, field.name)
             if not math.isfinite(value):
@@ -72,10 +68,6 @@ class GameSpec:
             raise ParameterDomainError(
                 f"expected_rounds must be at least 1, got {self.expected_rounds}"
             )
-        if enforce_dilemma:
-            self._check_dilemma()
-
-    def _check_dilemma(self) -> None:
         t, r, p, s = self.temptation, self.reward, self.punishment, self.sucker
         if not t > r:
             raise DilemmaViolationError(f"need temptation > reward, got {t} <= {r}")

@@ -37,15 +37,14 @@ can be requested explicitly.
 Determinism
 -----------
 Each call draws from one ``np.random.Generator(np.random.PCG64(seed))``.
-A match consumes one ``(rounds, 2)`` block of uniforms, column 0 for the
-first player, column 1 for the second; a player observes when its uniform is
-below its check probability.  Monte Carlo sample ``i`` takes the ``i``-th
-such block of the stream, so sample 0 is :func:`play_match` with the same
-seed, keeps its own payoff total round by round and enters the means in
-sample order.  Identical seeds therefore give bitwise-identical results,
-whatever the block size.  Before this single stream, sample ``i`` drew from
-``SeedSequence((seed, i))``: match traces are unchanged, while estimates
-over more than one sample differ from those of earlier versions.
+A match lasts ``game.simulation_rounds()`` rounds and consumes one
+``(rounds, 2)`` block of uniforms, column 0 for the first player, column 1
+for the second; a player observes when its uniform is below its check
+probability.  Monte Carlo sample ``i`` takes the ``i``-th such block of the
+stream, so sample 0 is :func:`play_match` with the same seed.  Each sample
+keeps its own payoff total round by round and enters the means in sample
+order: identical seeds give bitwise-identical results, whatever the block
+size.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -119,12 +117,6 @@ class MonteCarloPayoffs:
     stderr_a: float
     stderr_b: float
     samples: int
-
-
-def _resolve_rounds(game: GameSpec, rounds: Optional[int]) -> int:
-    if rounds is None:
-        rounds = game.simulation_rounds()
-    return require_int("rounds", rounds, 1)
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -240,12 +232,12 @@ def play_match(
     spec_a: StrategySpec,
     spec_b: StrategySpec,
     game: GameSpec,
-    rounds: Optional[int] = None,
+    *,
     convention: CostConvention = CostConvention.DETECTION_FREE,
     seed: int = 0,
 ) -> MatchOutcome:
     """Roll out one seeded match and return its full trace."""
-    rounds = _resolve_rounds(game, rounds)
+    rounds = game.simulation_rounds()
     draws = _generator(seed).random((1, rounds, 2))
     trace = []
     _rollout(spec_a, spec_b, game, convention, draws, trace)
@@ -256,13 +248,13 @@ def monte_carlo_payoffs(
     spec_a: StrategySpec,
     spec_b: StrategySpec,
     game: GameSpec,
-    rounds: Optional[int] = None,
+    *,
     convention: CostConvention = CostConvention.DETECTION_FREE,
     samples: int = 1000,
     seed: int = 0,
 ) -> MonteCarloPayoffs:
     """Average seeded rollouts; sample i is the i-th match of one stream."""
-    rounds = _resolve_rounds(game, rounds)
+    rounds = game.simulation_rounds()
     require_int("samples", samples, 1)
     rng = _generator(seed)
     totals = np.empty((2, samples))
@@ -311,11 +303,11 @@ def exact_expected_payoffs(
     spec_a: StrategySpec,
     spec_b: StrategySpec,
     game: GameSpec,
-    rounds: Optional[int] = None,
+    *,
     convention: CostConvention = CostConvention.DETECTION_FREE,
 ) -> tuple[float, float]:
     """Exact expected per-round payoffs of both players: the outcome counts
     of :func:`expected_outcomes` priced by :func:`outcome_payoffs`."""
-    rounds = _resolve_rounds(game, rounds)
+    rounds = game.simulation_rounds()
     totals = expected_outcomes(spec_a, spec_b, rounds)[-1] @ outcome_payoffs(game, convention)
     return float(totals[0] / rounds), float(totals[1] / rounds)

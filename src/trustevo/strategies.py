@@ -170,11 +170,7 @@ def observe(spec: StrategySpec, state: StrategyState, opponent_action: Action) -
     return StrategyState(level, trusting, reverted, opponent_action)
 
 
-def strategy_from_label(
-    label: str,
-    trust_threshold: int = 3,
-    check_prob: float = 0.25,
-) -> StrategySpec:
+def strategy_from_label(label: str, trust_threshold: int, check_prob: float) -> StrategySpec:
     """Build a spec from its CLI label, attaching trust parameters as needed."""
     try:
         kind = StrategyKind(label.upper())

@@ -25,6 +25,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,11 +36,6 @@ from .errors import ConfigError, NumericalError
 from .evolution import EvolutionParams
 from .game_model import GameSpec
 from .metrics import cooperation_report
-
-DEFAULT_POPULATION = 100
-DEFAULT_SELECTION = 0.1
-DEFAULT_TRUST_THRESHOLD = 3
-DEFAULT_CHECK_PROB = 0.25
 
 SECTIONS = {
     "game": tuple(field.name for field in dataclasses.fields(GameSpec)),
@@ -52,16 +48,21 @@ _INTEGER_PARAMS = ("population", "trust_threshold")
 
 STRATEGY_ORDER = ("ALLC", "ALLD", "TFT", "TUC", "TUD")
 
+# Most points a sweep grid or one axis may hold: some 30 s of work and 0.3 GB
+# of rows, at 0.3 ms and 3 kB a point.  A larger count is likelier a typo
+# than a study, and is refused before the axis values or the grid are built.
+_MAX_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class SweepConfig:
     """Base parameters plus ordered sweep axes."""
 
     game: GameSpec = GameSpec()
-    population: int = DEFAULT_POPULATION
-    selection_strength: float = DEFAULT_SELECTION
-    trust_threshold: int = DEFAULT_TRUST_THRESHOLD
-    check_prob: float = DEFAULT_CHECK_PROB
+    population: int = 100
+    selection_strength: float = 0.1
+    trust_threshold: int = 3
+    check_prob: float = 0.25
     axes: tuple[tuple[str, tuple[float, ...]], ...] = ()
 
     def __post_init__(self) -> None:
@@ -76,6 +77,9 @@ class SweepConfig:
             if not values:
                 raise ConfigError(f"sweep axis {name!r} has no values")
             seen.add(name)
+        size = math.prod(len(values) for _, values in self.axes)
+        if size > _MAX_POINTS:
+            raise ConfigError(f"sweep grid has {size} points, more than {_MAX_POINTS}")
         # A fraction would be truncated at evaluation while the CSV kept its
         # unrounded label, so integer parameters take whole values only.
         axes = dict(self.axes)
@@ -131,6 +135,8 @@ def _parse_values(text: str, key: str) -> tuple[float, ...]:
                 raise ConfigError(f"axis {key!r}: {exc}") from None
             if count < 1:
                 raise ConfigError(f"axis {key!r}: count must be positive")
+            if count > _MAX_POINTS:
+                raise ConfigError(f"axis {key!r}: count {count} is above {_MAX_POINTS}")
             if prefix == "log:":
                 if start <= 0 or stop <= 0:
                     raise ConfigError(f"axis {key!r}: log spacing needs positive bounds")
@@ -148,13 +154,14 @@ def _parse_values(text: str, key: str) -> tuple[float, ...]:
 def parse_config(path: str) -> SweepConfig:
     """Load a sweep configuration from an INI file.
 
-    Values are read literally (no ``%`` interpolation).  A file configparser
-    refuses, or one with a ``[DEFAULT]`` section, raises ``ConfigError``.
+    The file is read as UTF-8 and its values literally (no ``%``
+    interpolation).  A file that is not UTF-8 text, one configparser
+    refuses, or one with a ``[DEFAULT]`` section raises ``ConfigError``.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        found = parser.read(path)
-    except configparser.Error as exc:
+        found = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file: {' '.join(str(exc).split())}") from None
     if not found:
         raise ConfigError(f"cannot read config file {path!r}")

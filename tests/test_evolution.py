@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -386,6 +387,60 @@ class TestStationaryDistribution:
         assert set(sd.as_dict()) == {"A", "B"}
         with pytest.raises(ParameterDomainError):
             stationary_distribution(matrix, ("A",))
+
+
+def composition_chain(values, params, mu):
+    """The full pairwise-comparison chain over every population composition.
+
+    A focal player is drawn at random.  With probability ``mu`` it mutates,
+    to each other strategy with probability ``mu / (S - 1)``; otherwise it
+    draws a random other player and copies it with the Fermi probability.
+    Payoffs exclude self-interaction.  Built from the payoff table alone,
+    never from the fixation probabilities.  Returns the (states, S) counts
+    and the row-stochastic chain.
+    """
+    n, beta = params.population_size, params.selection_strength
+    size = len(values)
+    states = []
+    for bars in itertools.combinations(range(n + size - 1), size - 1):
+        edges = (-1, *bars, n + size - 1)
+        states.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
+    index = {counts: k for k, counts in enumerate(states)}
+    chain = np.zeros((len(states), len(states)))
+    for k, counts in enumerate(states):
+        fitness = (values @ counts - np.diag(values)) / (n - 1)
+        for i, j in itertools.permutations(range(size), 2):
+            if counts[i] == 0:
+                continue
+            moved = list(counts)
+            moved[i] -= 1
+            moved[j] += 1
+            copy = counts[j] / (n - 1) / (1.0 + math.exp(-beta * (fitness[j] - fitness[i])))
+            rate = mu / (size - 1) + (1.0 - mu) * copy
+            chain[k, index[tuple(moved)]] += counts[i] / n * rate
+        chain[k, k] = 1.0 - chain[k].sum()
+    return np.array(states), chain
+
+
+class TestSmallMutationReduction:
+    def test_full_chain_approaches_the_homogeneous_chain(self):
+        """The strategy frequencies of the full chain converge to the
+        small-mutation stationary vector at first order in mu (Fudenberg &
+        Imhof 2006): deviation / mu is the same at two rates, and small."""
+        params = EvolutionParams(10, 0.1)
+        limit = stationary_distribution(markov_transition_matrix(DEFAULT_VALUES, params))
+        ratios = []
+        for mu in (1e-4, 1e-5):
+            states, chain = composition_chain(DEFAULT_VALUES, params, mu)
+            assert len(states) == 1001
+            system = chain.T - np.eye(len(chain))
+            system[-1] = 1.0
+            rhs = np.zeros(len(chain))
+            rhs[-1] = 1.0
+            frequencies = np.linalg.solve(system, rhs) @ states / params.population_size
+            ratios.append(np.max(np.abs(frequencies - limit.probabilities)) / mu)
+        assert ratios[1] < 2.0
+        assert ratios[0] == pytest.approx(ratios[1], rel=0.01)
 
 
 class TestSimulateFixation:

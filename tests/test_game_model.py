@@ -42,17 +42,6 @@ class TestGameSpecValidation:
         with pytest.raises(AlternationDominanceError):
             GameSpec(temptation=3.0, reward=1.0, punishment=0.0, sucker=-1.0)
 
-    def test_override_allows_non_dilemma_tables(self):
-        game = GameSpec(
-            temptation=1.0, reward=1.0, punishment=0.0, sucker=-1.0,
-            enforce_dilemma=False,
-        )
-        assert game.temptation == game.reward
-
-    def test_override_still_checks_parameter_domains(self):
-        with pytest.raises(ParameterDomainError):
-            GameSpec(1.0, 1.0, 0.0, -1.0, payoff_scale=0.0, enforce_dilemma=False)
-
     def test_scale_must_be_positive(self):
         with pytest.raises(ParameterDomainError):
             make_prisoners_dilemma(payoff_scale=0.0)
@@ -74,11 +63,10 @@ class TestGameSpecValidation:
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_numbers_are_rejected(self, field, value):
-        """Even with the dilemma checks off, no NaN or infinity gets in."""
-        numbers = dict(temptation=2.0, reward=1.0, punishment=0.0, sucker=-1.0)
-        numbers[field] = value
+        """Finiteness is checked first, so a NaN or infinite table entry is
+        a domain error rather than a dilemma violation."""
         with pytest.raises(ParameterDomainError, match=f"{field} must be finite"):
-            GameSpec(**numbers, enforce_dilemma=False)
+            GameSpec(**{field: value})
 
 
 class TestScaling:

@@ -49,7 +49,7 @@ class TestPlayMatch:
         assert outcome.rounds == 50
 
     def test_allc_vs_alld_trace(self):
-        outcome = play_match(ALLC, ALLD, DEFAULT_GAME, rounds=5)
+        outcome = play_match(ALLC, ALLD, GameSpec(expected_rounds=5))
         assert outcome.actions_a == (C,) * 5
         assert outcome.actions_b == (D,) * 5
         assert not any(outcome.checks_a)
@@ -62,7 +62,7 @@ class TestPlayMatch:
     def test_tuc_with_certain_checks_against_tud(self):
         """With p=1 the whole match is deterministic: trust at round 3,
         exploitation caught immediately, mutual defection after."""
-        outcome = play_match(tuc(3, 1.0), tud(3), DEFAULT_GAME, rounds=8)
+        outcome = play_match(tuc(3, 1.0), tud(3), GameSpec(expected_rounds=8))
         assert outcome.actions_a == (C, C, C, C, D, D, D, D)
         assert outcome.actions_b == (C, C, C, D, D, D, D, D)
         # The exploiter stops paying for observation once it trusts.
@@ -80,7 +80,7 @@ class TestPlayMatch:
 
     def test_every_check_convention_charges_the_catch(self):
         outcome = play_match(
-            tuc(3, 1.0), tud(3), DEFAULT_GAME, rounds=8,
+            tuc(3, 1.0), tud(3), GameSpec(expected_rounds=8),
             convention=CostConvention.EVERY_CHECK,
         )
         assert outcome.payoffs_a[3] == -1.25
@@ -102,12 +102,6 @@ class TestPlayMatch:
             )
             catches.add(caught)
         assert len(catches) > 1
-
-    def test_rounds_validation(self):
-        with pytest.raises(ParameterDomainError):
-            play_match(ALLC, ALLD, DEFAULT_GAME, rounds=0)
-        with pytest.raises(ParameterDomainError):
-            play_match(ALLC, ALLD, DEFAULT_GAME, rounds=2.5)
 
 
 _BAD_COUNTS = [-1, 0, 2.5, True]
@@ -234,7 +228,7 @@ class TestExactEnumeration:
         )
         strategies = (ALLC, ALLD, TFT, tuc(theta, prob), tud(theta))
         for row, col in itertools.product(strategies, repeat=2):
-            exact, _ = exact_expected_payoffs(row, col, game, rounds=rounds)
+            exact, _ = exact_expected_payoffs(row, col, game)
             predicted = analytic_entry(row, col, game)
             assert _tolerance_ratio(predicted, exact, 1e-10) <= 1.0, (
                 row.label, col.label, predicted, exact,

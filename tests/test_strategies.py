@@ -232,17 +232,17 @@ def test_classics_never_trust_or_revert(actions):
 class TestLabelParsing:
     def test_round_trip_for_all_labels(self):
         for label in ("ALLC", "ALLD", "TFT", "TUC", "TUD"):
-            assert strategy_from_label(label).label == label
+            assert strategy_from_label(label, 3, 0.25).label == label
 
     def test_case_insensitive(self):
-        assert strategy_from_label("tuc").kind is StrategyKind.TUC
+        assert strategy_from_label("tuc", 3, 0.25).kind is StrategyKind.TUC
 
     def test_attaches_trust_parameters(self):
         spec = strategy_from_label("TUC", trust_threshold=5, check_prob=0.5)
         assert spec.trust_threshold == 5
         assert spec.check_prob == 0.5
-        assert strategy_from_label("ALLC").trust_threshold is None
+        assert strategy_from_label("ALLC", 5, 0.5).trust_threshold is None
 
     def test_unknown_label(self):
         with pytest.raises(ParameterDomainError, match="unknown strategy"):
-            strategy_from_label("GRIM")
+            strategy_from_label("GRIM", 3, 0.25)

@@ -15,10 +15,6 @@ from trustevo.match_sim import monte_carlo_payoffs
 from trustevo.payoffs import payoff_matrix
 from trustevo.strategies import ALLC, ALLD, TFT, tuc, tud
 from trustevo.sweep import (
-    DEFAULT_CHECK_PROB,
-    DEFAULT_POPULATION,
-    DEFAULT_SELECTION,
-    DEFAULT_TRUST_THRESHOLD,
     SweepConfig,
     format_value,
     parse_config,
@@ -31,15 +27,17 @@ from trustevo.sweep import (
 
 GOLDEN = Path(__file__).parent / "data" / "fig3_golden.csv"
 
-# INI bodies that configparser itself refuses or misreads: a duplicate key, a
-# duplicate section, no section header, a '%' in a value, and a [DEFAULT]
-# section, whose keys would otherwise leak into [sweep] as an axis.
+# INI files that configparser itself refuses or misreads: a duplicate key, a
+# duplicate section, no section header, a '%' in a value, a [DEFAULT]
+# section, whose keys would otherwise leak into [sweep] as an axis, and a
+# byte that is not UTF-8.
 MALFORMED_INI = {
-    "duplicate-key": "[game]\ncheck_cost = 0.1\ncheck_cost = 0.2\n",
-    "duplicate-section": "[game]\nreward = 1.5\n[game]\nsucker = -0.5\n",
-    "no-section-header": "check_cost = 0.1\n",
-    "percent": "[game]\ncheck_cost = 5%\n",
-    "default-section": "[DEFAULT]\ncheck_cost = 0.3\n[sweep]\nreward = 1, 1.5\n",
+    "duplicate-key": b"[game]\ncheck_cost = 0.1\ncheck_cost = 0.2\n",
+    "duplicate-section": b"[game]\nreward = 1.5\n[game]\nsucker = -0.5\n",
+    "no-section-header": b"check_cost = 0.1\n",
+    "percent": b"[game]\ncheck_cost = 5%\n",
+    "default-section": b"[DEFAULT]\ncheck_cost = 0.3\n[sweep]\nreward = 1, 1.5\n",
+    "not-utf8": b"[game]\ncheck_cost = 0.1\xff",
 }
 
 
@@ -116,6 +114,13 @@ class TestSweepConfigValidation:
         its unrounded label in the CSV."""
         with pytest.raises(ConfigError, match="takes integers"):
             SweepConfig(game=make_prisoners_dilemma(), **{name: value})
+
+    def test_grid_size_is_bounded(self):
+        """A grid is refused by its point count before any point runs."""
+        axis = ("check_cost", tuple(np.linspace(0.0, 1.0, 400)))
+        SweepConfig(axes=(axis, ("check_prob", tuple(np.linspace(0.1, 1.0, 250)))))
+        with pytest.raises(ConfigError, match="120000 points"):
+            SweepConfig(axes=(axis, ("check_prob", tuple(np.linspace(0.1, 1.0, 300)))))
 
     def test_integer_axes_accept_whole_floats(self):
         config = SweepConfig(
@@ -220,7 +225,8 @@ payoff_scale = log:0.1:1000:25
 
     def write(self, tmp_path, text=None):
         path = tmp_path / "sweep.ini"
-        path.write_text(self.INI if text is None else text)
+        text = self.INI if text is None else text
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         return str(path)
 
     def test_round_trip(self, tmp_path):
@@ -278,6 +284,10 @@ check_prob = 0.6
         config = parse_config(path)
         assert config.axes == (("reward", (1.0, 1.25, 1.5, 1.75, 2.0)),)
 
+    def test_axis_count_limit_is_inclusive(self, tmp_path):
+        path = self.write(tmp_path, "[sweep]\ncheck_cost = lin:0:1:100000\n")
+        assert len(parse_config(path).axes[0][1]) == 100_000
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config("/nonexistent/sweep.ini")
@@ -303,6 +313,8 @@ check_prob = 0.6
             "[sweep]\ncheck_cost = lin:0:1\n",
             "[sweep]\ncheck_cost = log:0:1:5\n",
             "[sweep]\ncheck_cost = lin:0:1:0\n",
+            "[sweep]\ncheck_cost = lin:0:1:100001\n",
+            "[sweep]\ncheck_cost = log:1:2:100001\n",
             "[sweep]\ncheck_cost = 0.1, x\n",
             "[sweep]\ntrust_threshold = 3.7\n",
             "[sweep]\npopulation = 10.5\n",
@@ -388,12 +400,13 @@ class TestCliOptions:
         assert _game_from_args(args) == game
         for name, value in dataclasses.asdict(game).items():
             assert getattr(args, name) == value, name
+        config = SweepConfig()
         assert (args.trust_threshold, args.check_prob) == (
-            DEFAULT_TRUST_THRESHOLD, DEFAULT_CHECK_PROB,
+            config.trust_threshold, config.check_prob,
         )
         if command not in ("payoff-matrix", "simulate"):
             assert (args.population, args.selection_strength) == (
-                DEFAULT_POPULATION, DEFAULT_SELECTION,
+                config.population, config.selection_strength,
             )
 
     @pytest.mark.parametrize("command", GAME_COMMANDS)
@@ -536,7 +549,7 @@ class TestCliErrors:
     @pytest.mark.parametrize("body", MALFORMED_INI.values(), ids=MALFORMED_INI)
     def test_malformed_config_is_an_error_line(self, body, tmp_path, capsys):
         path = tmp_path / "sweep.ini"
-        path.write_text(body)
+        path.write_bytes(body)
         assert main(["sweep", "--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
