@@ -29,9 +29,9 @@ from .evolution import (
 )
 from .game_model import GameSpec
 from .match_sim import CostConvention, monte_carlo_payoffs, play_match
-from .metrics import cooperation_report
+from .metrics import cooperation_report, strategy_pool
 from .payoffs import payoff_matrix
-from .strategies import ALLC, ALLD, TFT, strategy_from_label, tuc, tud
+from .strategies import strategy_from_label
 from .sweep import (
     PRESETS,
     SECTIONS,
@@ -61,8 +61,7 @@ def _params_from_args(args) -> EvolutionParams:
 
 
 def _strategy_set(args, which: str = "five"):
-    theta, p = args.trust_threshold, args.check_prob
-    five = (ALLC, ALLD, TFT, tuc(theta, p), tud(theta))
+    five = strategy_pool(args.trust_threshold, args.check_prob)
     return five[:3] if which == "three" else five
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the integer check."""
+"""Exception types shared across the package, the integer check and the stack locator."""
+
+import numpy as np
 
 
 class ParameterDomainError(ValueError):
@@ -30,3 +32,10 @@ def require_int(name: str, value, minimum: int):
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ParameterDomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def first_failure(failing: np.ndarray) -> tuple[tuple[int, ...], str]:
+    """Index of the first true entry of a mask over a stack of problems, and a
+    message suffix naming it, which a stack of one goes without."""
+    index = tuple(int(i) for i in np.argwhere(failing)[0])
+    return index, f" at stack index {', '.join(map(str, index))}" if failing.size > 1 else ""

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ParameterDomainError, require_int
+from .errors import NumericalError, ParameterDomainError, first_failure, require_int
 
 # Largest exponent fed to exp() before the fixation sum switches to its
 # log-space evaluation; exp overflows near 709.
@@ -100,30 +100,34 @@ def _fixation_sums(args: np.ndarray) -> np.ndarray:
 
 
 def fixation_matrix(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
-    """Entry (i, j): probability that one j-mutant takes over i-residents.
+    """Entry (..., i, j): probability that one j-mutant takes over i-residents,
+    for one payoff table or a ``(..., s, s)`` stack of them.
 
     Follows ``group_payoffs`` operation for operation; the diagonal is unused.
     """
-    size = values.shape[0]
-    if values.shape != (size, size) or size < 2:
+    shape = values.shape[-2:]
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
         raise ParameterDomainError(
             f"need a square payoff table with at least two strategies, got {values.shape}"
         )
     n = params.population_size
     bound = np.finfo(float).max / (2 * n)  # |cumsum(advantage)| <= 2 (N - 1) max |entry|
-    peak = max(values.max(), -values.min())  # NaN when any entry is NaN
-    if not math.isfinite(peak):
-        raise NumericalError("payoff table holds a non-finite entry")
-    if peak > bound:
-        raise NumericalError(f"payoff entries beyond {bound:.3g} overflow fixation sums at N={n}")
+    if not np.abs(values).max() <= bound:  # NaN compares false
+        peak = np.abs(values).max(axis=(-2, -1))
+        at, where = first_failure(~(peak <= bound))
+        if not math.isfinite(peak[at]):
+            raise NumericalError("payoff table holds a non-finite entry" + where)
+        raise NumericalError(
+            f"payoff entries beyond {bound:.3g} overflow fixation sums at N={n}{where}"
+        )
     k = np.arange(1, n, dtype=float)
-    own = np.diagonal(values)
-    # Axis 0 is the resident r, axis 1 the mutant m, axis 2 the count k.
-    advantage = np.multiply(values.T[:, :, None], n - k)
-    advantage += (k - 1) * own[None, :, None]
+    own = np.diagonal(values, axis1=-2, axis2=-1)
+    # Axis -3 is the resident r, axis -2 the mutant m, axis -1 the count k.
+    advantage = np.multiply(values.swapaxes(-1, -2)[..., None], n - k)
+    advantage += (k - 1) * own[..., None, :, None]
     advantage /= n - 1
-    resident = np.multiply(values[:, :, None], k)
-    resident += (n - k - 1) * own[:, None, None]
+    resident = np.multiply(values[..., None], k)
+    resident += (n - k - 1) * own[..., :, None, None]
     resident /= n - 1
     advantage -= resident
     args = np.cumsum(advantage, axis=-1, out=resident)
@@ -147,12 +151,13 @@ def chain_from_fixation(fixation: np.ndarray) -> np.ndarray:
     Row i is the resident strategy; entry (i, j) is the fixation probability
     of a j-mutant in an i-resident population divided by the number of
     possible mutants, so each row sums to one with the remainder on the
-    diagonal.
+    diagonal.  A ``(..., s, s)`` stack gives a stack of chains.
     """
-    size = fixation.shape[0]
+    size = fixation.shape[-1]
     matrix = fixation / (size - 1)
-    np.fill_diagonal(matrix, 0.0)
-    np.fill_diagonal(matrix, 1.0 - matrix.sum(axis=1))
+    diagonal = np.einsum("...ii->...i", matrix)  # a writable view
+    diagonal[...] = 0.0
+    diagonal[...] = 1.0 - matrix.sum(axis=-1)
     return matrix
 
 
@@ -169,19 +174,22 @@ def stationary_distribution(
     One balance equation is replaced by normalisation.  Entries more negative
     than -1e-12 or a solve residual above 1e-9 raise ``NumericalError`` with
     the condition number attached; roundoff-scale negatives are clamped to
-    zero and the vector renormalised.
+    zero and the vector renormalised.  A ``(..., s, s)`` stack of chains gives
+    ``(..., s)`` probabilities, and an error names the first failing chain.
     """
     transition = np.asarray(transition, dtype=float)
-    size = transition.shape[0]
-    if transition.shape != (size, size) or size < 1:
+    shape = transition.shape[-2:]
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
         raise ParameterDomainError(f"transition table must be square, got {transition.shape}")
-    rows = transition.sum(axis=1)
-    if not np.all(np.abs(rows - 1.0) <= 1e-12):
+    size = shape[0]
+    stochastic = np.abs(transition.sum(axis=-1) - 1.0) <= 1e-12
+    if not stochastic.all():
+        at, where = first_failure(~stochastic.all(axis=-1))
         message = "transition rows must each sum to 1 within 1e-12"
         # Any non-finite entry fails the row sum; name the first one.
-        for i, j in np.argwhere(~np.isfinite(transition))[:1]:
-            message += f" (row {i} has non-finite entry {transition[i, j]} at column {j})"
-        raise ParameterDomainError(message)
+        for i, j in np.argwhere(~np.isfinite(transition[at]))[:1]:
+            message += f" (row {i} has non-finite entry {transition[at][i, j]} at column {j})"
+        raise ParameterDomainError(message + where)
     if labels is None:
         labels = tuple(str(i) for i in range(size))
     else:
@@ -191,29 +199,32 @@ def stationary_distribution(
                 f"got {len(labels)} labels for a {size}-state chain"
             )
 
-    system = transition.T - np.eye(size)
-    system[-1, :] = 1.0
-    rhs = np.zeros(size)
-    rhs[-1] = 1.0
+    system = transition.swapaxes(-1, -2) - np.eye(size)
+    system[..., -1, :] = 1.0
+    rhs = np.zeros(system.shape[:-1] + (1,))  # (..., s, 1): numpy 1 and 2 read one column a chain
+    rhs[..., -1, :] = 1.0
     try:
-        pi = np.linalg.solve(system, rhs)
+        pi = np.linalg.solve(system, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(transition.T - np.eye(size) + np.ones((size, size)) / size)
+        # LAPACK's solve fails on an exactly zero pivot, which is a zero sign.
+        at, where = first_failure(np.linalg.slogdet(system)[0] == 0.0)
+        cond = np.linalg.cond(transition[at].T - np.eye(size) + np.ones((size, size)) / size)
         raise NumericalError(
             f"stationary solve failed ({exc}); condition estimate {cond:.3e}; "
-            "the chain may be reducible"
+            f"the chain may be reducible{where}"
         ) from exc
-    residual = float(np.max(np.abs(transition.T @ pi - pi)))
-    lowest = float(pi.min())
-    if residual > 1e-9 or lowest < -1e-12:
-        cond = float(np.linalg.cond(system))
+    residual = np.abs(np.matmul(transition.swapaxes(-1, -2), pi[..., None])[..., 0] - pi)
+    if not (residual.max() <= 1e-9 and pi.min() >= -1e-12):  # a NaN fails too
+        residual, lowest = residual.max(axis=-1), pi.min(axis=-1)
+        at, where = first_failure(~((residual <= 1e-9) & (lowest >= -1e-12)))
+        cond = float(np.linalg.cond(system[at]))
         raise NumericalError(
-            f"stationary solve untrustworthy (residual {residual:.3e}, "
-            f"min entry {lowest:.3e}, condition {cond:.3e}); "
-            "the chain may be reducible"
+            f"stationary solve untrustworthy (residual {residual[at]:.3e}, "
+            f"min entry {lowest[at]:.3e}, condition {cond:.3e}); "
+            f"the chain may be reducible{where}"
         )
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
+    pi = np.maximum(pi, 0.0)
+    pi /= pi.sum(axis=-1, keepdims=True)
     return StationaryDistribution(labels, pi)
 
 

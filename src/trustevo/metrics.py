@@ -37,7 +37,7 @@ def selfplay_cooperation_index(spec: StrategySpec, rounds: float) -> float:
     if kind in (StrategyKind.TUC, StrategyKind.TUD):
         if not spec.trust_threshold < rounds:
             raise ParameterDomainError(
-                f"trust threshold {spec.trust_threshold} must be below rounds {rounds}"
+                f"trust threshold {spec.trust_threshold} must be below the expected rounds {rounds}"
             )
     if kind is StrategyKind.ALLD:
         return 0.0
@@ -46,15 +46,18 @@ def selfplay_cooperation_index(spec: StrategySpec, rounds: float) -> float:
     return 1.0
 
 
-def population_cooperation(stationary: np.ndarray, indices: np.ndarray) -> float:
-    """Stationary-weighted average of self-play cooperation indices."""
+def population_cooperation(stationary: np.ndarray, indices: np.ndarray):
+    """Stationary-weighted average of self-play cooperation indices; for a
+    stack of rows, one average per row, each its own dot product."""
     stationary = np.asarray(stationary, dtype=float)
     indices = np.asarray(indices, dtype=float)
     if stationary.shape != indices.shape:
         raise ParameterDomainError(
             f"shape mismatch: {stationary.shape} vs {indices.shape}"
         )
-    return float(stationary @ indices)
+    if stationary.ndim == 1:
+        return float(stationary @ indices)
+    return np.fromiter(map(np.matmul, stationary, indices), float, len(stationary))
 
 
 @dataclass
@@ -69,36 +72,46 @@ class CooperationReport:
     selfplay_indices: dict[str, float]
 
 
+def strategy_pool(trust_threshold: int, check_prob: float) -> tuple[StrategySpec, ...]:
+    """The five-strategy pool; its first three are the classic pool."""
+    return (ALLC, ALLD, TFT, tuc(trust_threshold, check_prob), tud(trust_threshold))
+
+
+def pool_stationaries(values: np.ndarray, params: EvolutionParams) -> list[np.ndarray]:
+    """Stationary vectors of the five- and three-strategy pools for one 5 x 5
+    table or a ``(..., 5, 5)`` stack.  Fixation depends only on the payoffs
+    within a pair, so the classic pool's chain is built from the
+    ALLC/ALLD/TFT block of the five-strategy fixation matrix.
+    """
+    fixation = fixation_matrix(values, params)
+    return [
+        stationary_distribution(chain_from_fixation(fixation[..., :k, :k])).probabilities
+        for k in (5, 3)
+    ]
+
+
 def cooperation_report(
     game: GameSpec,
     params: EvolutionParams,
     trust_threshold: int = 3,
     check_prob: float = 0.25,
 ) -> CooperationReport:
-    """Compare the classic three-strategy pool against the five-strategy one.
-
-    Fixation depends only on the payoffs within a pair, so the classic
-    pool's chain is built from the ALLC/ALLD/TFT block of the five-strategy
-    fixation matrix.
-    """
-    full = (ALLC, ALLD, TFT, tuc(trust_threshold, check_prob), tud(trust_threshold))
+    """Compare the classic three-strategy pool against the five-strategy one,
+    from a table built in floats, as a sweep does over a stack of tables."""
+    full = strategy_pool(trust_threshold, check_prob)
     matrix = payoff_matrix(full, game)
-    fixation = fixation_matrix(matrix.values, params)
-    stat_with = stationary_distribution(chain_from_fixation(fixation), matrix.labels)
-    stat_without = stationary_distribution(
-        chain_from_fixation(fixation[:3, :3]), matrix.labels[:3]
-    )
+    pi_with, pi_without = pool_stationaries(matrix.values, params)
     indices = np.array(
         [selfplay_cooperation_index(s, game.expected_rounds) for s in full]
     )
-    coop_with = population_cooperation(stat_with.probabilities, indices)
-    coop_without = population_cooperation(stat_without.probabilities, indices[:3])
+    coop_with = population_cooperation(pi_with, indices)
+    coop_without = population_cooperation(pi_without, indices[:3])
     return CooperationReport(
         with_trust=coop_with,
         without_trust=coop_without,
         delta=coop_with - coop_without,
-        stationary_with=stat_with,
-        stationary_without=stat_without,
+        stationary_with=StationaryDistribution(matrix.labels, pi_with),
+        stationary_without=StationaryDistribution(matrix.labels[:3], pi_without),
         selfplay_indices={
             s.label: float(x) for s, x in zip(full, indices)
         },

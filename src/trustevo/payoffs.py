@@ -5,7 +5,8 @@ match of expected length r, including observation costs.  The formulas split
 each match into a pre-trust phase of theta rounds and a post-trust phase of
 r - theta rounds; they therefore require theta < r whenever a trust strategy
 is involved.  The only random element, a trusting TUC's per-round observation
-lottery, is integrated out analytically.
+lottery, is integrated out analytically.  One formula body serves one game
+in floats and a stack of games in per-point arrays (for sweeps).
 
 The cost accounting here matches the default convention of
 :mod:`trustevo.match_sim`: a trusting TUC's observation in the round it
@@ -19,20 +20,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ParameterDomainError
+from .errors import NumericalError, ParameterDomainError, first_failure
 from .game_model import GameSpec
-from .strategies import TRUST_KINDS, StrategyKind, StrategySpec
+from .strategies import StrategyKind, StrategySpec
 
-def _rounds_until_detection(check_prob: float, phase_length: float) -> float:
+
+def _rounds_until_detection(check_prob, phase_length):
     """Expected rounds of the post-trust phase up to and including detection.
 
     With per-round detection probability p over a phase of n rounds this is
     sum_{i=0}^{n-1} (1-p)^i = (1 - (1-p)^n) / p, which tends to n as p -> 0.
     The expected number of rounds lived after detection is n minus this.
+    Per-point columns are evaluated element by element, in floats.
     """
+    if isinstance(phase_length, np.ndarray):
+        pairs = check_prob.tolist(), phase_length.tolist()
+        return np.array([*map(_rounds_until_detection, *pairs)])
     if check_prob == 0.0:
         return phase_length
     if check_prob >= 1.0:
@@ -49,35 +56,32 @@ def _rounds_until_detection(check_prob: float, phase_length: float) -> float:
     return (1.0 - math.exp(decay)) / check_prob
 
 
-def _trust_threshold(row: StrategySpec, col: StrategySpec, rounds: float) -> int:
-    thresholds = {
-        s.trust_threshold for s in (row, col) if s.kind in TRUST_KINDS
-    }
-    if len(thresholds) > 1:
-        raise ParameterDomainError(
-            "closed forms require both trust strategies to share one threshold, "
-            f"got {sorted(thresholds)}"
-        )
-    theta = thresholds.pop()
-    if not theta < rounds:
+def _trust_threshold(specs: Sequence[StrategySpec], rounds: float) -> int | None:
+    """The threshold all trust strategies share, or None when none trusts."""
+    theta = None
+    for spec in specs:
+        if spec.trust_threshold is not None:
+            if theta is not None and spec.trust_threshold != theta:
+                raise ParameterDomainError(
+                    "closed forms require both trust strategies to share one threshold, "
+                    f"got {sorted((theta, spec.trust_threshold))}"
+                )
+            theta = spec.trust_threshold
+    if theta is not None and not theta < rounds:
         raise ParameterDomainError(
             f"trust threshold {theta} must be below the expected rounds {rounds}"
         )
     return theta
 
 
-def analytic_entry(row: StrategySpec, col: StrategySpec, game: GameSpec) -> float:
-    """Expected per-round payoff of the row strategy against the column one."""
-    t, r, p, s = game.scaled_payoffs()
-    n = game.expected_rounds
-    eps = game.check_cost
-    kr, kc = row.kind, col.kind
-
+def _closed_form(kr, kc, t, r, p, s, n, eps, theta, check):
+    """Per-round payoff of row kind ``kr`` against ``kc`` from the scaled table,
+    expected rounds, check cost, shared trust threshold and TUC check
+    probability: floats for one game, or per-point arrays of one shape."""
     if kr is StrategyKind.ALLC:
         if kc is StrategyKind.ALLD:
             return s
         if kc is StrategyKind.TUD:
-            theta = _trust_threshold(row, col, n)
             return (theta * r + (n - theta) * s) / n
         return r
 
@@ -94,26 +98,23 @@ def analytic_entry(row: StrategySpec, col: StrategySpec, game: GameSpec) -> floa
         if kc is StrategyKind.ALLD:
             return (s + (n - 1) * p) / n - eps
         if kc is StrategyKind.TUD:
-            theta = _trust_threshold(row, col, n)
             return (theta * r + s + (n - theta - 1) * p) / n - eps
         return r - eps
 
     if kr is StrategyKind.TUC:
-        theta = _trust_threshold(row, col, n)
         if kc is StrategyKind.ALLD:
             return (s + (n - 1) * p) / n - eps
         if kc is StrategyKind.TUD:
             phase = n - theta
-            lived = _rounds_until_detection(row.check_prob, phase)
+            lived = _rounds_until_detection(check, phase)
             return (
                 theta * (r - eps) + s * lived + (p - eps) * (phase - lived)
             ) / n
         # Against any opponent that keeps cooperating, TUC pays theta full
         # observations plus an expected p per post-trust round.
-        return r - (theta + row.check_prob * (n - theta)) * eps / n
+        return r - (theta + check * (n - theta)) * eps / n
 
     # Row is TUD.
-    theta = _trust_threshold(row, col, n)
     if kc is StrategyKind.ALLC:
         return (theta * r + (n - theta) * t - theta * eps) / n
     if kc is StrategyKind.ALLD:
@@ -122,10 +123,19 @@ def analytic_entry(row: StrategySpec, col: StrategySpec, game: GameSpec) -> floa
         return (theta * r + t + (n - theta - 1) * p - theta * eps) / n
     if kc is StrategyKind.TUC:
         phase = n - theta
-        lived = _rounds_until_detection(col.check_prob, phase)
+        lived = _rounds_until_detection(check, phase)
         return (theta * (r - eps) + t * lived + p * (phase - lived)) / n
     # Two TUDs trust each other after theta rounds and defect ever after.
     return (theta * r + (n - theta) * p - theta * eps) / n
+
+
+def analytic_entry(row: StrategySpec, col: StrategySpec, game: GameSpec) -> float:
+    """Expected per-round payoff of the row strategy against the column one."""
+    t, r, p, s = game.scaled_payoffs()
+    n = game.expected_rounds
+    theta = _trust_threshold((row, col), n)
+    check = col.check_prob if row.check_prob is None else row.check_prob
+    return _closed_form(row.kind, col.kind, t, r, p, s, n, game.check_cost, theta, check)
 
 
 @dataclass
@@ -147,14 +157,29 @@ def payoff_matrix(strategies: tuple[StrategySpec, ...], game: GameSpec) -> Payof
     kinds = [s.kind for s in strategies]
     if len(set(kinds)) != len(kinds):
         raise ParameterDomainError("strategy kinds must be pairwise distinct")
-    size = len(strategies)
-    values = np.empty((size, size), dtype=float)
-    for i, row in enumerate(strategies):
-        for j, col in enumerate(strategies):
-            value = analytic_entry(row, col, game)
-            if not math.isfinite(value):
-                raise NumericalError(
-                    f"payoff entry ({row.label}, {col.label}) overflowed to {value}"
-                )
-            values[i, j] = value
+    theta = _trust_threshold(strategies, game.expected_rounds)
+    check = next((s.check_prob for s in strategies if s.check_prob is not None), None)
+    values = payoff_tables(
+        kinds, *game.scaled_payoffs(), game.expected_rounds, game.check_cost, theta, check
+    )
     return PayoffMatrix(tuple(strategies), values)
+
+
+def payoff_tables(kinds: Sequence[StrategyKind], t, r, p, s, n, eps, theta, check) -> np.ndarray:
+    """Tables of the pool ``kinds`` from ``_closed_form``'s arguments, theta
+    below n: ``(k, k)`` from floats, ``(points, k, k)`` from per-point columns.
+    A non-finite entry raises ``NumericalError`` naming the first such point."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, as floats are
+        rows = [
+            [_closed_form(kr, kc, t, r, p, s, n, eps, theta, check) for kc in kinds] for kr in kinds
+        ]
+    values = np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+    finite = np.isfinite(values)
+    if not finite.all():
+        at, where = first_failure(~finite.all(axis=(-2, -1)))
+        i, j = np.argwhere(~finite[at])[0]
+        raise NumericalError(
+            f"payoff entry ({kinds[i].value}, {kinds[j].value}) overflowed to "
+            f"{values[at][i, j]}{where}"
+        )
+    return values

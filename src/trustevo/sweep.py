@@ -2,14 +2,17 @@
 
 A sweep takes a base parameter set, a list of named axes, and evaluates the
 full pipeline (payoff table, fixation chain, stationary distribution,
-cooperation report) at every grid point in turn.  Grid order is row-major in
-the listed axis order with the last axis varying fastest; nothing is random,
-so a sweep is byte-identical run to run.
+cooperation report) at every grid point, as ``cooperation_report`` does,
+bit for bit.  Consecutive points that share N and beta run as one stack, a
+bounded chunk at a time; a refused point raises naming its axis values, the
+first in grid order.  Grid order is row-major in the listed axis order with
+the last axis varying fastest; nothing is random, so a sweep is
+byte-identical run to run.
 
 The eleven base parameters are listed once, by INI section, in ``SECTIONS``:
 the :class:`GameSpec` fields under ``[game]`` (defaults from ``GameSpec()``),
 then ``[evolution]`` and ``[trust]``.  The INI parser,
-:meth:`SweepConfig.base_parameters`, :func:`evaluate_point` and the command
+:meth:`SweepConfig.base_parameters`, the sweep's columns and the command
 line options take their names from it.  A section's INI key is
 the parameter name without the section prefix (``[trust] threshold`` is
 ``trust_threshold``); each key under ``[sweep]`` is a full name and adds one
@@ -25,9 +28,11 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import itertools
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +40,13 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .evolution import EvolutionParams
 from .game_model import GameSpec
-from .metrics import cooperation_report
+from .metrics import (
+    pool_stationaries,
+    population_cooperation,
+    selfplay_cooperation_index,
+    strategy_pool,
+)
+from .payoffs import payoff_tables
 
 SECTIONS = {
     "game": tuple(field.name for field in dataclasses.fields(GameSpec)),
@@ -47,11 +58,18 @@ PARAM_NAMES = tuple(name for names in SECTIONS.values() for name in names)
 _INTEGER_PARAMS = ("population", "trust_threshold")
 
 STRATEGY_ORDER = ("ALLC", "ALLD", "TFT", "TUC", "TUD")
+_OUTPUT_COLUMNS = (
+    *(f"freq_{label}" for label in STRATEGY_ORDER), "coop_with", "coop_without", "coop_delta"
+)
 
-# Most points a sweep grid or one axis may hold: some 30 s of work and 0.3 GB
-# of rows, at 0.3 ms and 3 kB a point.  A larger count is likelier a typo
-# than a study, and is refused before the axis values or the grid are built.
+# Most points a sweep grid or one axis may hold: some 12 s of work and 0.3 GB
+# of rows, at 0.12 ms and 3 kB a point (N=100, two x86_64 CPUs).  A larger
+# count is likelier a typo than a study, and is refused before the axis
+# values or the grid are built.
 _MAX_POINTS = 100_000
+# Most fixation-sum terms, 8 bytes each, one chunk of points stacks at once:
+# 26 points at N=100, 2 at N=1000.
+_CHUNK_ELEMENTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -154,13 +172,14 @@ def _parse_values(text: str, key: str) -> tuple[float, ...]:
 def parse_config(path: str) -> SweepConfig:
     """Load a sweep configuration from an INI file.
 
-    The file is read as UTF-8 and its values literally (no ``%``
-    interpolation).  A file that is not UTF-8 text, one configparser
-    refuses, or one with a ``[DEFAULT]`` section raises ``ConfigError``.
+    The file is read as UTF-8 (a byte-order mark is skipped) and its values
+    literally (no ``%`` interpolation).  A file that is not UTF-8 text, one
+    configparser refuses, or one with a ``[DEFAULT]`` section raises
+    ``ConfigError``.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        found = parser.read(path, encoding="utf-8")
+        found = parser.read(path, encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file: {' '.join(str(exc).split())}") from None
     if not found:
@@ -191,40 +210,62 @@ def parse_config(path: str) -> SweepConfig:
 
 
 def _grid_points(config: SweepConfig):
-    points = [()]
-    for name, values in config.axes:
-        points = [prior + ((name, v),) for prior in points for v in values]
-    return points
+    """Each point's parameters in grid order, axis values over base values."""
+    base, names = config.base_parameters(), [name for name, _ in config.axes]
+    for values in itertools.product(*(values for _, values in config.axes)):
+        yield {**base, **dict(zip(names, values))}
 
 
-def evaluate_point(config: SweepConfig, overrides: Sequence[tuple[str, float]]):
-    """Run the full pipeline for one grid point and return its row dict."""
-    settings = config.base_parameters()
-    settings.update(overrides)
-    game = GameSpec(**{name: settings[name] for name in _GAME_PARAMS})
-    params = EvolutionParams(
-        population_size=int(settings["population"]),
-        selection_strength=settings["selection_strength"],
+def _chunks(points):
+    """Runs of consecutive points sharing N and beta, each of at most
+    ``_CHUNK_ELEMENTS`` fixation terms, 5 x 5 x (N - 1) a point."""
+    for (n, _), run in itertools.groupby(points, itemgetter("population", "selection_strength")):
+        run, step = list(run), max(1, _CHUNK_ELEMENTS // (25 * max(int(n) - 1, 1)))
+        yield from (run[i : i + step] for i in range(0, len(run), step))
+
+
+def _evaluate(points: list[dict]) -> list[dict]:
+    """Rows of a chunk of points; its tables, chains and solves are stacks."""
+    games = [GameSpec(**{name: row[name] for name in _GAME_PARAMS}) for row in points]
+    pools = [strategy_pool(int(row["trust_threshold"]), row["check_prob"]) for row in points]
+    # Also checks each threshold against its match length, before the tables.
+    indices = np.array([
+        [selfplay_cooperation_index(spec, game.expected_rounds) for spec in pool]
+        for pool, game in zip(pools, games)
+    ])
+    column = {name: np.array([row[name] for row in points], dtype=float) for name in points[0]}
+    scale = column["payoff_scale"]
+    values = payoff_tables(
+        [spec.kind for spec in pools[0]],
+        *(scale * column[name] for name in ("temptation", "reward", "punishment", "sucker")),
+        *map(column.get, ("expected_rounds", "check_cost", "trust_threshold", "check_prob")),
     )
-    report = cooperation_report(
-        game,
-        params,
-        trust_threshold=int(settings["trust_threshold"]),
-        check_prob=settings["check_prob"],
-    )
-    row = {f"param:{k}": v for k, v in settings.items()}
-    masses = report.stationary_with.as_dict()
-    for label in STRATEGY_ORDER:
-        row[f"freq_{label}"] = masses[label]
-    row["coop_with"] = report.with_trust
-    row["coop_without"] = report.without_trust
-    row["coop_delta"] = report.delta
-    return row
+    params = EvolutionParams(int(points[0]["population"]), points[0]["selection_strength"])
+    freqs, without = pool_stationaries(values, params)
+    coop_with = population_cooperation(freqs, indices)
+    coop_without = population_cooperation(without, indices[:, :3])
+    outputs = np.column_stack([freqs, coop_with, coop_without, coop_with - coop_without])
+    return [
+        {**{f"param:{k}": v for k, v in row.items()}, **dict(zip(_OUTPUT_COLUMNS, out))}
+        for row, out in zip(points, outputs.tolist())
+    ]
 
 
 def run_sweep(config: SweepConfig) -> list[dict]:
     """Evaluate every grid point, in deterministic grid order."""
-    return [evaluate_point(config, point) for point in _grid_points(config)]
+    rows = []
+    for points in _chunks(_grid_points(config)):
+        try:
+            rows += _evaluate(points)
+        except (ValueError, NumericalError):
+            for point in points:  # the chunk's first point refused on its own
+                try:
+                    _evaluate([point])
+                except (ValueError, NumericalError) as exc:
+                    at = ", ".join(f"{name}={point[name]!r}" for name, _ in config.axes)
+                    raise type(exc)(f"{exc} (sweep point {at or 'without axes'})") from None
+            raise
+    return rows
 
 
 def sweep_table(rows: Sequence[dict]) -> list[list]:
@@ -235,9 +276,7 @@ def sweep_table(rows: Sequence[dict]) -> list[list]:
 
 def sweep_columns(rows: Sequence[dict]) -> list[str]:
     params = sorted(k for k in rows[0] if k.startswith("param:"))
-    outputs = [f"freq_{label}" for label in STRATEGY_ORDER]
-    outputs += ["coop_with", "coop_without", "coop_delta"]
-    return params + outputs
+    return params + list(_OUTPUT_COLUMNS)
 
 
 def format_value(value: float) -> str:

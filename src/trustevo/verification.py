@@ -20,8 +20,8 @@ import numpy as np
 
 from .game_model import GameSpec
 from .match_sim import expected_outcomes, outcome_payoffs
+from .metrics import strategy_pool
 from .payoffs import analytic_entry
-from .strategies import ALLC, ALLD, TFT, tuc, tud
 
 GRID_THRESHOLDS = (1, 3, 5, 10)
 GRID_CHECK_PROBS = (0.0, 0.1, 0.25, 0.5, 1.0)
@@ -84,7 +84,7 @@ def run_oracle_verification() -> OracleReport:
     comparisons = failures = 0
     worst, worst_at = 0.0, ""
     for theta, p in product(GRID_THRESHOLDS, GRID_CHECK_PROBS):
-        pairs = list(combinations_with_replacement((ALLC, ALLD, TFT, tuc(theta, p), tud(theta)), 2))
+        pairs = list(combinations_with_replacement(strategy_pool(theta, p), 2))
         for a, b in pairs:
             if (a, b) not in priced:
                 counts = expected_outcomes(a, b, max(GRID_ROUNDS))

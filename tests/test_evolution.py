@@ -318,6 +318,61 @@ class TestChainProperties:
         assert gap <= 1e-10
 
 
+# Stake 100 over four rounds at N=100: a chain the dense solve cannot trust.
+STIFF_GAME = make_prisoners_dilemma(payoff_scale=100.0, expected_rounds=4.0)
+STIFF_VALUES = payoff_matrix(DEFAULT_SET, STIFF_GAME).values
+STIFF_CHAIN = markov_transition_matrix(STIFF_VALUES, DEFAULT_PARAMS)
+
+
+class TestStacks:
+    """A stack of tables or chains equals the per-matrix calls bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tables=st.integers(2, 5).flatmap(
+            lambda size: arrays(np.float64, (4, size, size), elements=st.floats(-3.0, 3.0))
+        ),
+        n=POPULATIONS,
+        unit=UNIT,
+    )
+    def test_stacked_chain_and_solve_equal_single_calls(self, tables, n, unit):
+        params = EvolutionParams(n, capped_beta(unit, n, tables))
+        fixation = evolution.fixation_matrix(tables, params)
+        stacked = stationary_distribution(evolution.chain_from_fixation(fixation))
+        for table, rho, pi in zip(tables, fixation, stacked.probabilities):
+            assert np.array_equal(evolution.fixation_matrix(table, params), rho)
+            alone = stationary_distribution(markov_transition_matrix(table, params))
+            assert np.array_equal(alone.probabilities, pi)
+
+    def test_a_bad_table_is_named_by_its_index(self):
+        stack = np.stack([DEFAULT_VALUES] * 3)
+        stack[2, 0, 1] = np.nan
+        with pytest.raises(NumericalError, match=r"non-finite entry at stack index 2$"):
+            evolution.fixation_matrix(stack, DEFAULT_PARAMS)
+        stack[2, 0, 1] = 0.0
+        stack[1, 3, 3] = 1e306
+        with pytest.raises(NumericalError, match=r"at N=100 at stack index 1$"):
+            evolution.fixation_matrix(stack, DEFAULT_PARAMS)
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (np.eye(2), NumericalError, "stationary solve failed"),
+            (np.array([[0.5, 0.4], [0.3, 0.7]]), ParameterDomainError, "sum to 1"),
+            (np.array([[0.5, np.nan], [0.3, 0.7]]), ParameterDomainError, "non-finite entry nan"),
+            (STIFF_CHAIN, NumericalError, "untrustworthy"),
+        ],
+    )
+    def test_a_bad_chain_is_named_by_its_index(self, bad, error, message):
+        good = np.full(bad.shape, 1.0 / len(bad))
+        stack = np.stack([good, good, bad, bad])
+        with pytest.raises(error, match=rf"{message}.* at stack index 2$"):
+            stationary_distribution(stack)
+        with pytest.raises(error, match=message) as alone:
+            stationary_distribution(bad)
+        assert "stack index" not in str(alone.value)
+
+
 class TestStationaryDistribution:
     def test_default_chain_frozen_values(self):
         matrix = markov_transition_matrix(DEFAULT_VALUES, DEFAULT_PARAMS)

@@ -1,10 +1,13 @@
+import ast
+import importlib
 import re
 import types
 from pathlib import Path
 
 import trustevo
 
-README = Path(__file__).parents[1] / "README.md"
+ROOT = Path(__file__).parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_quickstart_runs(capsys):
@@ -24,3 +27,17 @@ def test_all_lists_every_public_name_once():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(exported) == bound
+
+
+def test_benchmark_imports_exist():
+    """Every name the benchmark imports from the package is still there."""
+    tree = ast.parse((ROOT / "benchmarks" / "workloads.py").read_text())
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("trustevo")
+    ]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"

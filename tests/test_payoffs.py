@@ -1,11 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from trustevo.errors import NumericalError, ParameterDomainError
 from trustevo.game_model import make_prisoners_dilemma
-from trustevo.payoffs import analytic_entry, payoff_matrix
+from trustevo.payoffs import analytic_entry, payoff_matrix, payoff_tables
 from trustevo.strategies import ALLC, ALLD, TFT, tuc, tud
 
 DEFAULT_GAME = make_prisoners_dilemma()
@@ -187,3 +188,55 @@ class TestThresholdGuards:
         short = analytic_entry(ALLC, tud(3), DEFAULT_GAME)
         long = analytic_entry(ALLC, tud(3), long_game)
         assert long < short < 0
+
+
+# Dilemma tables R, P = R - a, S = P - b, T = R + c with c < a + b, so that
+# 2R > T + S, and a match long enough for thresholds up to 10.
+GAMES = st.builds(
+    lambda r, a, b, u, scale, cost, rounds: make_prisoners_dilemma(
+        temptation=r + u * (a + b), reward=r, punishment=r - a, sucker=r - a - b,
+        payoff_scale=scale, check_cost=cost, expected_rounds=rounds,
+    ),
+    st.floats(-5.0, 5.0), st.floats(0.01, 5.0), st.floats(0.01, 5.0), st.floats(0.01, 0.99),
+    st.floats(0.01, 100.0), st.floats(0.0, 2.0), st.floats(11.0, 200.0),
+)
+
+
+def stacked_tables(points):
+    """``payoff_tables`` over the five-strategy pool at (game, theta, p) points."""
+    games = [game for game, _, _ in points]
+
+    def column(values):
+        return np.array(values, dtype=float)
+
+    scaled = column([game.scaled_payoffs() for game in games]).T
+    return payoff_tables(
+        [spec.kind for spec in DEFAULT_SET], *scaled,
+        column([g.expected_rounds for g in games]), column([g.check_cost for g in games]),
+        column([theta for _, theta, _ in points]), column([p for _, _, p in points]),
+    )
+
+
+class TestStackedTables:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                GAMES, st.integers(1, 10), st.sampled_from((0.0, 1e-9, 1.0)) | st.floats(0.0, 1.0)
+            ),
+            min_size=1, max_size=6,
+        )
+    )
+    def test_equal_the_float_tables_bit_for_bit(self, points):
+        stacked = stacked_tables(points)
+        for (game, theta, p), table in zip(points, stacked):
+            pool = (ALLC, ALLD, TFT, tuc(theta, p), tud(theta))
+            assert payoff_matrix(pool, game).values.tobytes() == table.tobytes()
+            entries = [analytic_entry(a, b, game) for a in pool for b in pool]
+            assert np.array(entries).tobytes() == table.tobytes()
+
+    def test_an_overflow_is_named_by_its_point(self):
+        huge = make_prisoners_dilemma(payoff_scale=1e308)
+        message = r"\(ALLC, TUD\) overflowed to nan at stack index 2$"
+        with pytest.raises(NumericalError, match=message):
+            stacked_tables([(DEFAULT_GAME, 3, 0.25)] * 2 + [(huge, 3, 0.25)])

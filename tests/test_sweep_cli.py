@@ -1,17 +1,22 @@
 import dataclasses
+import hashlib
 import io
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import trustevo.sweep as sweep
 from trustevo.cli import _game_from_args, build_parser, main
 from trustevo.errors import ConfigError, NumericalError
 from trustevo.evolution import EvolutionParams, fixation_probability
 from trustevo.game_model import GameSpec, make_prisoners_dilemma
 from trustevo.match_sim import monte_carlo_payoffs
+from trustevo.metrics import cooperation_report
 from trustevo.payoffs import payoff_matrix
 from trustevo.strategies import ALLC, ALLD, TFT, tuc, tud
 from trustevo.sweep import (
@@ -26,6 +31,8 @@ from trustevo.sweep import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "fig3_golden.csv"
+# sha256sum lines of the fig4, fig5 and appendix preset CSVs.
+PRESET_HASHES = (Path(__file__).parent / "data" / "preset_sha256.txt").read_text().splitlines()
 
 # INI files that configparser itself refuses or misreads: a duplicate key, a
 # duplicate section, no section header, a '%' in a value, a [DEFAULT]
@@ -156,6 +163,52 @@ class TestSweepEvaluation:
                     float(want[column]), abs=1e-8
                 ), column
 
+    @pytest.mark.parametrize("preset", [line.split()[1][:-4] for line in PRESET_HASHES])
+    def test_preset_csv_hashes(self, preset):
+        """Every other preset's CSV is byte-identical to its pinned sha256."""
+        pinned = dict(line.split()[::-1] for line in PRESET_HASHES)
+        produced = rows_to_csv(run_sweep(preset_config(preset))).encode()
+        assert hashlib.sha256(produced).hexdigest() == pinned[f"{preset}.csv"]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        populations=st.lists(
+            st.sampled_from((2.0, 3.0, 10.0, 100.0, 1000.0)), min_size=2, max_size=3, unique=True
+        ),
+        betas=st.lists(st.floats(0.0, 0.1), min_size=1, max_size=2, unique=True),
+        costs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True),
+        probs=st.lists(st.sampled_from((0.0, 1e-9, 0.3, 1.0)), min_size=1, max_size=2, unique=True),
+        order=st.permutations(range(4)),
+        chunk=st.integers(1, 20_000),
+    )
+    def test_stacked_rows_equal_single_reports(
+        self, populations, betas, costs, probs, order, chunk
+    ):
+        """Chunked sweep rows equal per-point ``cooperation_report`` bit for
+        bit, over grids of mixed N that span several chunks."""
+        axes = (
+            ("population", tuple(populations)),
+            ("selection_strength", tuple(betas)),
+            ("check_cost", tuple(costs)),
+            ("check_prob", tuple(probs)),
+        )
+        config = SweepConfig(game=GameSpec(expected_rounds=7.5), axes=tuple(axes[i] for i in order))
+        with mock.patch.object(sweep, "_CHUNK_ELEMENTS", chunk):
+            assert len(list(sweep._chunks(sweep._grid_points(config)))) > 1
+            rows = run_sweep(config)
+        for row in rows:
+            game = dataclasses.replace(config.game, check_cost=row["param:check_cost"])
+            params = EvolutionParams(
+                int(row["param:population"]), row["param:selection_strength"]
+            )
+            report = cooperation_report(game, params, 3, row["param:check_prob"])
+            expected = [
+                *report.stationary_with.probabilities, report.with_trust,
+                report.without_trust, report.delta,
+            ]
+            got = [row[column] for column in sweep_columns(rows) if not column.startswith("param:")]
+            assert [float(x).hex() for x in got] == [float(x).hex() for x in expected]
+
     def test_column_order_is_stable(self):
         rows = run_sweep(preset_config("fig3"))
         columns = sweep_columns(rows)
@@ -278,6 +331,10 @@ check_prob = 0.6
             game=game, population=40, selection_strength=0.05,
             trust_threshold=6, check_prob=0.6,
         )
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = self.write(tmp_path, b"\xef\xbb\xbf[game]\ncheck_cost = 0.1\n")
+        assert parse_config(path).game.check_cost == 0.1
 
     def test_linear_spacing(self, tmp_path):
         path = self.write(tmp_path, "[sweep]\nreward = lin:1:2:5\n")
@@ -614,6 +671,32 @@ class TestCliNonFinite:
             assert captured.err.startswith("numerical error:")
             assert re.search(message, captured.err)
         assert not target.exists()
+
+
+class TestCliRefusedSweepPoint:
+    def test_the_first_refused_point_is_named(self, tmp_path, capsys):
+        """A stiff chain at stake 100 is refused; the error names that point."""
+        path = tmp_path / "stiff.ini"
+        path.write_text(
+            "[game]\nexpected_rounds = 4\n[evolution]\npopulation = 100\n"
+            "selection_strength = 0.1\n[trust]\nthreshold = 3\n"
+            "[sweep]\npayoff_scale = 1, 100\n"
+        )
+        assert main(["sweep", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: stationary solve untrustworthy")
+        assert captured.err.rstrip().endswith("(sweep point payoff_scale=100.0)")
+
+    def test_a_refused_game_is_named(self, tmp_path, capsys):
+        path = tmp_path / "sweep.ini"
+        path.write_text("[sweep]\ncheck_cost = 0.1, 0.2\ntemptation = 2, 0.5\n")
+        assert main(["sweep", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.rstrip().endswith(
+            "(sweep point check_cost=0.1, temptation=0.5)"
+        )
 
 
 class TestCliVerify:
