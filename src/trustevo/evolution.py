@@ -82,7 +82,7 @@ def fermi_probability(payoff_diff: float, beta: float) -> float:
     """Probability of imitating a role model whose payoff is higher by diff."""
     x = beta * payoff_diff
     if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
+        return float(1.0 / (1.0 + np.exp(-x)))
     e = np.exp(x)
     return float(e / (1.0 + e))
 
@@ -99,18 +99,16 @@ def _fixation_sums(args: np.ndarray) -> np.ndarray:
     return rho
 
 
-def fixation_matrix(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
-    """Entry (..., i, j): probability that one j-mutant takes over i-residents,
-    for one payoff table or a ``(..., s, s)`` stack of them.
-
-    Follows ``group_payoffs`` operation for operation; the diagonal is unused.
-    """
+def _check_table(values: np.ndarray, n: int, **indices: int) -> None:
+    """Refuse what fixation sums at population ``n`` cannot take: a bad table or index."""
     shape = values.shape[-2:]
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
         raise ParameterDomainError(
             f"need a square payoff table with at least two strategies, got {values.shape}"
         )
-    n = params.population_size
+    for name, index in indices.items():
+        if require_int(name, index, 0) >= shape[0]:
+            raise ParameterDomainError(f"{name} must be below {shape[0]}, got {index}")
     bound = np.finfo(float).max / (2 * n)  # |cumsum(advantage)| <= 2 (N - 1) max |entry|
     if not np.abs(values).max() <= bound:  # NaN compares false
         peak = np.abs(values).max(axis=(-2, -1))
@@ -120,6 +118,16 @@ def fixation_matrix(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
         raise NumericalError(
             f"payoff entries beyond {bound:.3g} overflow fixation sums at N={n}{where}"
         )
+
+
+def fixation_matrix(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
+    """Entry (..., i, j): probability that one j-mutant takes over i-residents,
+    for one payoff table or a ``(..., s, s)`` stack of them.
+
+    Follows ``group_payoffs`` operation for operation; the diagonal is unused.
+    """
+    n = params.population_size
+    _check_table(values, n)
     k = np.arange(1, n, dtype=float)
     own = np.diagonal(values, axis1=-2, axis2=-1)
     # Axis -3 is the resident r, axis -2 the mutant m, axis -1 the count k.
@@ -141,6 +149,7 @@ def fixation_probability(
     values: np.ndarray, mutant: int, resident: int, params: EvolutionParams
 ) -> float:
     """Probability that a single mutant takes over a resident population."""
+    _check_table(values, params.population_size, mutant=mutant, resident=resident)
     pair = values[np.ix_((resident, mutant), (resident, mutant))]
     return float(fixation_matrix(pair, params)[0, 1])
 
@@ -251,6 +260,7 @@ def simulate_fixation(
     require_int("runs", runs, 1)
     require_int("seed", seed, 0)
     n = params.population_size
+    _check_table(values, n, mutant=mutant, resident=resident)
     beta = params.selection_strength
     up = np.empty(n - 1)
     for k in range(1, n):

@@ -9,19 +9,19 @@ observation lottery branch by branch, a branch giving an outcome code and a
 next state.  The caller only says what mass a branch carries: a probability
 weight in the enumerator, a boolean mask of the samples whose draw picks it
 in a rollout.  States that cannot behave differently merge, their masses
-added.  The 12 codes cross the result (T, R, P or S, from the player's
-side) with the observation: none, a paid check, or the check that catches a
-defection.  :func:`outcome_payoffs` prices them for one game and cost
-convention.
+added, and each distinct joint state is stepped once per walk.  The 12 codes
+cross the result (T, R, P or S, from the player's side) with the
+observation: none, a paid check, or the check that catches a defection.
+:func:`outcome_payoffs` prices them for one game and cost convention.
 
 * :func:`play_match` rolls out one seeded match and returns the full trace.
 * :func:`expected_outcomes` weights each outcome by its lottery
   probability into each code's expected count, as prefix sums over rounds:
   one walk serves every game, convention and shorter match.
   :func:`exact_expected_payoffs` prices its last row.
-* :func:`monte_carlo_payoffs` rolls out fixed blocks of ``_BLOCK`` samples
-  in lockstep, the samples that share a joint state taking one step
-  together, and reports means with standard errors.
+* :func:`monte_carlo_payoffs` rolls out fixed blocks of samples in
+  lockstep, the samples that share a joint state taking one step together,
+  and reports means with standard errors.
 
 Cost conventions
 ----------------
@@ -72,7 +72,7 @@ from .strategies import (
 # this limit means a bug, not a big computation.
 _STATE_LIMIT = 256
 
-# Monte Carlo samples per lockstep rollout; bounds the draws held at once.
+# Monte Carlo samples per lockstep rollout, fewer past 512 rounds: at most 8 MB of draws.
 _BLOCK = 1024
 
 
@@ -134,33 +134,35 @@ def outcome_payoffs(
     return table + paid + (table if convention is CostConvention.DETECTION_FREE else paid)
 
 
-# Each player's result, an index into (T, R, P, S), per pair of actions.
+# A player's result, an index into (T, R, P, S), per (own, opponent) actions.
 C, D = Action.COOPERATE, Action.DEFECT
-_RESULTS = {(C, C): (1, 1), (C, D): (3, 0), (D, C): (0, 3), (D, D): (2, 2)}
+_RESULT = {(C, C): 1, (C, D): 3, (D, C): 0, (D, D): 2}
 
 
-def _side(spec, state, result, opponent_action):
+def _side(spec, state, action, opponent_action):
     """``(prob, branches)``: the check probability and the (observed, outcome
-    code, next state) branches that can occur, the observed one first."""
+    code, next behaviour key) branches that can occur, the observed one first."""
+    result = _RESULT[action, opponent_action]
     prob = check_probability(spec, state)
     unseen = (False, result, state)
     if not prob > 0.0:
         return prob, (unseen,)
     after = observe(spec, state, opponent_action)
-    seen = (True, result + (8 if after.reverted and not state.reverted else 4), after)
+    code = result + (8 if after.reverted and not state.reverted else 4)
+    seen = (True, code, _behaviour_key(spec, after))
     return prob, (seen,) if prob >= 1.0 else (seen, unseen)
 
 
-def _behaviour_key(spec: StrategySpec, state: StrategyState):
-    """Collapse states that cannot differ in any future behaviour.
+def _behaviour_key(spec: StrategySpec, state: StrategyState) -> StrategyState:
+    """The state cleared of all that cannot decide any future behaviour.
 
-    Once ``trusting`` has latched, the trust ledger no longer influences
-    actions or observation probabilities (reversion is triggered by a caught
-    defection, not by the level), so the level is masked out of the key.
-    Pre-trust levels stay in play because they decide when trust is reached.
+    The level only decides when a trust kind reaches trust; reversion follows
+    a caught defection, not the level.  Tit-for-tat play only reads whether
+    the last observed action was a defection: None and C both cooperate.
     """
-    level = 0 if state.trusting else state.trust_level
-    return level, state.trusting, state.reverted, state.last_observed
+    level = state.trust_level if spec.trust_threshold is not None and not state.trusting else 0
+    last = D if state.last_observed is D else None
+    return StrategyState(level, state.trusting, state.reverted, last)
 
 
 def _walk(spec_a, spec_b, rounds, mass, split, record):
@@ -169,18 +171,20 @@ def _walk(spec_a, spec_b, rounds, mass, split, record):
     ``split(i, player, mass, prob, observed)`` gives the mass of one branch of
     a player's observation lottery in round ``i``, or None for an empty one,
     and ``record(i, mass, act_a, act_b, code_a, code_b)`` takes each joint
-    outcome.  Successors with equal behaviour keys keep the first states and
+    outcome.  States are kept as behaviour keys; successors with equal keys
     add their masses with ``+``: weights sum and boolean sample masks unite.
+    Each joint key is stepped once per walk, and later rounds reuse its step.
     """
-    frontier = [(mass, initial_state(spec_a), initial_state(spec_b))]
+    steps = {}
+    frontier = {(initial_state(spec_a), initial_state(spec_b)): mass}
     for i in range(rounds):
         successors = {}
-        for mass, sa, sb in frontier:
-            act_a = next_action(spec_a, sa)
-            act_b = next_action(spec_b, sb)
-            result_a, result_b = _RESULTS[act_a, act_b]
-            prob_a, branches_a = _side(spec_a, sa, result_a, act_b)
-            prob_b, branches_b = _side(spec_b, sb, result_b, act_a)
+        for (sa, sb), mass in frontier.items():
+            if (sa, sb) not in steps:
+                act_a, act_b = next_action(spec_a, sa), next_action(spec_b, sb)
+                sides = _side(spec_a, sa, act_a, act_b), _side(spec_b, sb, act_b, act_a)
+                steps[sa, sb] = act_a, act_b, *sides
+            act_a, act_b, (prob_a, branches_a), (prob_b, branches_b) = steps[sa, sb]
             for seen_a, code_a, sa2 in branches_a:
                 part = split(i, 0, mass, prob_a, seen_a)
                 if part is None:
@@ -190,17 +194,14 @@ def _walk(spec_a, spec_b, rounds, mass, split, record):
                     if cell is None:
                         continue
                     record(i, cell, act_a, act_b, code_a, code_b)
-                    key = (_behaviour_key(spec_a, sa2), _behaviour_key(spec_b, sb2))
-                    hit = successors.get(key)
-                    successors[key] = (
-                        (cell, sa2, sb2) if hit is None else (hit[0] + cell,) + hit[1:]
-                    )
+                    hit = successors.get((sa2, sb2))
+                    successors[sa2, sb2] = cell if hit is None else hit + cell
         if len(successors) > _STATE_LIMIT:
             raise StateSpaceError(
                 f"joint state count {len(successors)} exceeded the budget; "
                 "the behaviour key has stopped collapsing states"
             )
-        frontier = successors.values()
+        frontier = successors
 
 
 def _rollout(spec_a, spec_b, game, convention, draws, trace=None):
@@ -211,6 +212,8 @@ def _rollout(spec_a, spec_b, game, convention, draws, trace=None):
     totals = np.zeros((2, samples))
 
     def split(i, player, group, prob, observed):
+        if not 0.0 < prob < 1.0:  # a sure lottery: every draw takes its one branch
+            return group
         hit = draws[:, i, player] < prob
         part = group & (hit if observed else ~hit)
         return part if part.any() else None
@@ -258,8 +261,9 @@ def monte_carlo_payoffs(
     require_int("samples", samples, 1)
     rng = _generator(seed)
     totals = np.empty((2, samples))
-    draws = np.empty((min(samples, _BLOCK), rounds, 2))
-    for start in range(0, samples, _BLOCK):
+    size = min(samples, max(1, _BLOCK * 512 // max(rounds, 512)))
+    draws = np.empty((size, rounds, 2))
+    for start in range(0, samples, size):
         block = rng.random(out=draws[: samples - start])
         totals[:, start : start + len(block)] = _rollout(
             spec_a, spec_b, game, convention, block

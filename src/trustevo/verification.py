@@ -7,8 +7,9 @@ This module sweeps both over a standard parameter grid and reports the worst
 relative disagreement and where it sits.  The enumerator's outcome counts
 hold no game and a shorter match is a prefix of a longer one, so each
 distinct strategy pair is walked once, to the longest grid match, and priced
-against all grid games in one stacked product; ALLC v ALLD, say, serves every
-(theta, p) cell from one walk.  Each cell is then compared as one array.
+against all grid games in one product; ALLC v ALLD serves every (theta, p)
+cell from one walk.  The closed forms price a cell as one ``payoff_tables``
+stack, as the sweeps do, and each cell is compared as one array.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .game_model import GameSpec
 from .match_sim import expected_outcomes, outcome_payoffs
 from .metrics import strategy_pool
-from .payoffs import analytic_entry
+from .payoffs import payoff_tables
 
 GRID_THRESHOLDS = (1, 3, 5, 10)
 GRID_CHECK_PROBS = (0.0, 0.1, 0.25, 0.5, 1.0)
@@ -80,22 +81,22 @@ def run_oracle_verification() -> OracleReport:
     ]
     rounds = np.array([r for r, _, _ in grid])
     prices = np.array([outcome_payoffs(game) for game in games])
+    terms = np.array([(*g.scaled_payoffs(), g.expected_rounds, g.check_cost) for g in games])
     priced = {}  # (a, b) -> (games, 2) mean payoffs of a and b in each grid game
     comparisons = failures = 0
     worst, worst_at = 0.0, ""
     for theta, p in product(GRID_THRESHOLDS, GRID_CHECK_PROBS):
-        pairs = list(combinations_with_replacement(strategy_pool(theta, p), 2))
+        pool = strategy_pool(theta, p)
+        pairs = list(combinations_with_replacement(pool, 2))
         for a, b in pairs:
             if (a, b) not in priced:
                 counts = expected_outcomes(a, b, max(GRID_ROUNDS))
                 priced[a, b] = (counts[rounds - 1] @ prices[:, :, None])[..., 0] / rounds[:, None]
         kept = [g for g, (r, _, _) in enumerate(grid) if r > theta]
         exact = np.array([priced[pair][kept] for pair in pairs])
-        entries = (
-            analytic_entry(row, col, games[g])
-            for a, b in pairs for g in kept for row, col in ((a, b), (b, a))
-        )
-        analytic = np.fromiter(entries, float, exact.size).reshape(exact.shape)
+        tables = payoff_tables([s.kind for s in pool], *terms[kept].T, theta, np.full(len(kept), p))
+        rows, cols = np.triu_indices(len(pool))  # the pairs' pool indices, in order
+        analytic = tables[:, [rows, cols], [cols, rows]].transpose(2, 0, 1)  # as exact
         ratio = _tolerance_ratio(analytic, exact, TOLERANCE)
         comparisons += ratio.size
         failures += ratio.size - np.count_nonzero(ratio <= 1.0)

@@ -126,6 +126,10 @@ class TestFermi:
             assert fermi_probability(1e6, 10.0) == 1.0
             assert fermi_probability(-1e6, 10.0) == 0.0
 
+    def test_both_branches_return_a_float(self):
+        assert type(fermi_probability(1.0, 0.5)) is float
+        assert type(fermi_probability(-1.0, 0.5)) is float
+
     @given(
         diff=st.floats(min_value=-1e3, max_value=1e3),
         beta=st.floats(min_value=0.0, max_value=10.0),
@@ -205,6 +209,45 @@ class TestFixationProbability:
         values = np.array([[bad, 1.0], [1.0, 1.0]])
         with pytest.raises(NumericalError, match="non-finite"):
             fixation_probability(values, 1, 0, EvolutionParams(100, 0.1))
+
+
+def _simulated(values, mutant, resident, params):
+    return simulate_fixation(values, mutant, resident, params, runs=2000, seed=1)
+
+
+@pytest.mark.parametrize("fixation", [fixation_probability, _simulated])
+class TestFixationInputs:
+    """Both single-pair routes refuse a bad index or table before any work."""
+
+    PARAMS = EvolutionParams(20, 0.1)
+
+    @pytest.mark.parametrize("index", [-1, 5, 7, 1.0, True, None])
+    def test_indices_outside_the_table_are_refused(self, fixation, index):
+        for mutant, resident in ((index, 0), (0, index)):
+            with pytest.raises(ParameterDomainError, match="mutant|resident"):
+                fixation(DEFAULT_VALUES, mutant, resident, self.PARAMS)
+
+    def test_a_mutant_of_the_resident_kind_is_neutral(self, fixation):
+        rho = fixation(DEFAULT_VALUES, 2, 2, self.PARAMS)
+        if fixation is fixation_probability:
+            assert rho == 1.0 / 20
+        else:
+            assert abs(rho - 1.0 / 20) < 4 * math.sqrt(0.05 * 0.95 / 2000)
+
+    @pytest.mark.parametrize(
+        "bad, message", [(np.nan, "non-finite"), (np.inf, "non-finite"), (1e308, "overflow")]
+    )
+    def test_a_table_fixation_sums_cannot_take_is_refused(self, fixation, bad, message):
+        values = DEFAULT_VALUES.copy()
+        values[4, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=message):
+                fixation(values, 4, 0, self.PARAMS)
+
+    def test_a_table_that_is_not_square_is_refused(self, fixation):
+        with pytest.raises(ParameterDomainError, match="square"):
+            fixation(DEFAULT_VALUES[:, :4], 1, 0, self.PARAMS)
 
 
 class TestMarkovChain:
@@ -477,6 +520,18 @@ def composition_chain(values, params, mu):
     return np.array(states), chain
 
 
+def full_chain_frequencies(values, params, mu):
+    """The compositions of the full chain and its stationary strategy
+    frequencies, by a dense solve with one balance equation replaced by
+    normalisation."""
+    states, chain = composition_chain(values, params, mu)
+    system = chain.T - np.eye(len(chain))
+    system[-1] = 1.0
+    rhs = np.zeros(len(chain))
+    rhs[-1] = 1.0
+    return states, np.linalg.solve(system, rhs) @ states / params.population_size
+
+
 class TestSmallMutationReduction:
     def test_full_chain_approaches_the_homogeneous_chain(self):
         """The strategy frequencies of the full chain converge to the
@@ -486,16 +541,36 @@ class TestSmallMutationReduction:
         limit = stationary_distribution(markov_transition_matrix(DEFAULT_VALUES, params))
         ratios = []
         for mu in (1e-4, 1e-5):
-            states, chain = composition_chain(DEFAULT_VALUES, params, mu)
+            states, frequencies = full_chain_frequencies(DEFAULT_VALUES, params, mu)
             assert len(states) == 1001
-            system = chain.T - np.eye(len(chain))
-            system[-1] = 1.0
-            rhs = np.zeros(len(chain))
-            rhs[-1] = 1.0
-            frequencies = np.linalg.solve(system, rhs) @ states / params.population_size
             ratios.append(np.max(np.abs(frequencies - limit.probabilities)) / mu)
         assert ratios[1] < 2.0
         assert ratios[0] == pytest.approx(ratios[1], rel=0.01)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.integers(2, 3).flatmap(
+            lambda size: arrays(float, (size, size), elements=st.floats(-1.0, 1.0))
+        ),
+        n=st.integers(2, 8),
+        beta=st.floats(0.0, 1.0),
+    )
+    @example(values=np.full((3, 3), 0.5), n=8, beta=1.0)
+    @example(values=np.array([[0.0, -1.0], [1.0, 0.0]]), n=2, beta=1.0)
+    def test_random_tables_converge_at_first_order(self, values, n, beta):
+        """Random 2- and 3-strategy tables: deviation / mu at mu = 1e-5 is
+        within 5% of its value at 1e-4, which checks the self-interaction
+        convention and the 1/(S - 1) mutant split for every table shape.  A
+        neutral draw deviates by solve roundoff alone (below 2e-6 mu at N <= 8)
+        and passes under an absolute floor of 1e-4 mu."""
+        params = EvolutionParams(n, beta)
+        limit = stationary_distribution(markov_transition_matrix(values, params))
+        ratios = []
+        for mu in (1e-4, 1e-5):
+            _, frequencies = full_chain_frequencies(values, params, mu)
+            ratios.append(np.max(np.abs(frequencies - limit.probabilities)) / mu)
+        if max(ratios) > 1e-4:
+            assert ratios[1] == pytest.approx(ratios[0], rel=0.05)
 
 
 class TestSimulateFixation:

@@ -19,6 +19,7 @@ from trustevo.match_sim import (
     outcome_payoffs,
     play_match,
 )
+from trustevo.metrics import strategy_pool
 from trustevo.payoffs import analytic_entry
 from trustevo.strategies import (
     ALLC,
@@ -295,19 +296,29 @@ class TestExpectedOutcomes:
 
     def test_verify_walks_each_distinct_pair_once(self, monkeypatch):
         """One walk per distinct pair: 6 among ALLC, ALLD and TFT, 4 TUD
-        pairs per theta and 5 TUC pairs per (theta, p): 6 + 16 + 100 = 122."""
+        pairs per theta and 5 TUC pairs per (theta, p): 6 + 16 + 100 = 122.
+        Each walk steps each joint behaviour state once, two actions a step:
+        1,756 steps over the 122 walks, where stepping every state every
+        round took 6,631."""
         import trustevo.verification as verification
 
         calls = []
+        actions = []
 
         def counted(*args):
             calls.append(args)
             return expected_outcomes(*args)
 
+        def counted_action(spec, state):
+            actions.append(spec)
+            return next_action(spec, state)
+
         monkeypatch.setattr(verification, "expected_outcomes", counted)
+        monkeypatch.setattr(match_sim, "next_action", counted_action)
         report = run_oracle_verification()
         assert len(calls) == 122
         assert len({(a, b) for a, b, _ in calls}) == 122
+        assert len(actions) == 3512
         assert report.comparisons == 17550 and report.ok
 
 
@@ -320,7 +331,9 @@ def _scalar_ratio(analytic, exact, tolerance):
 
 def _scalar_verification(tolerance=1e-10):
     """Reference loop: one walk per (theta, p, pair), priced one game and
-    compared one entry at a time, over the verification module's grid."""
+    compared one entry at a time against the scalar closed forms, over the
+    verification module's grid."""
+    import trustevo.payoffs as payoffs
     import trustevo.verification as verification
 
     games = []
@@ -344,13 +357,29 @@ def _scalar_verification(tolerance=1e-10):
                     continue
                 exact_a, exact_b = counts[rounds - 1] @ price / rounds
                 for row, col, exact in ((a, b, exact_a), (b, a, exact_b)):
-                    analytic = verification.analytic_entry(row, col, game)
+                    analytic = payoffs.analytic_entry(row, col, game)
                     ratio = _scalar_ratio(analytic, exact, tolerance)
                     comparisons += 1
                     failures += not ratio <= 1.0
                     if math.isnan(ratio) or ratio > worst:
                         worst = ratio
     return comparisons, failures, float(worst)
+
+
+def _nan_in_tables(row, col, game):
+    """``payoff_tables`` with the (row, col) entry of ``game`` set to NaN in
+    the call for the pair's (theta, p) cell."""
+    from trustevo.payoffs import payoff_tables
+
+    def tables(kinds, t, r, p, s, n, eps, theta, check):
+        values = payoff_tables(kinds, t, r, p, s, n, eps, theta, check)
+        if (theta, check[0]) == (row.trust_threshold, col.check_prob):
+            point = (*game.scaled_payoffs(), game.expected_rounds, game.check_cost)
+            at = np.all(np.transpose([t, r, p, s, n, eps]) == point, axis=1)
+            values[at, kinds.index(row.kind), kinds.index(col.kind)] = math.nan
+        return values
+
+    return tables
 
 
 class TestOracleVerification:
@@ -370,7 +399,10 @@ class TestOracleVerification:
         assert (report.comparisons, report.failures, report.worst_tolerance_ratio) == expected
 
     def test_a_nan_entry_matches_the_scalar_loop(self, small_grid, monkeypatch):
-        analytic_entry = small_grid.analytic_entry
+        """The same entry is NaN in verify's stacked tables and in the scalar
+        closed forms of the reference loop."""
+        import trustevo.payoffs as payoffs
+
         game = make_prisoners_dilemma(expected_rounds=20.0)
 
         def nan_at_one_entry(row, col, at):
@@ -378,7 +410,10 @@ class TestOracleVerification:
                 return math.nan
             return analytic_entry(row, col, at)
 
-        monkeypatch.setattr(small_grid, "analytic_entry", nan_at_one_entry)
+        monkeypatch.setattr(payoffs, "analytic_entry", nan_at_one_entry)
+        monkeypatch.setattr(
+            small_grid, "payoff_tables", _nan_in_tables(tud(3), tuc(3, 0.25), game)
+        )
         report = run_oracle_verification()
         comparisons, failures, worst = _scalar_verification()
         assert report.comparisons == comparisons
@@ -546,6 +581,7 @@ class TestAgainstScalarReference:
         seed=st.integers(0, 2**32 - 1),
         cost=st.floats(0.0, 1.0),
     )
+    @example(tuc(1, 0.95), ALLC, 40, CostConvention.DETECTION_FREE, 5, 2, 0.3)
     def test_rollouts_equal_the_reference(
         self, spec_a, spec_b, rounds, convention, samples, seed, cost
     ):
@@ -574,3 +610,121 @@ class TestAgainstScalarReference:
             tuc(2, 0.3), tud(2), game, 30, convention, 1100, 4
         )
         assert (mc.mean_a, mc.mean_b, mc.stderr_a, mc.stderr_b) == expected
+
+
+def _stepwise_walk(spec_a, spec_b, rounds, mass, split, record):
+    """Reference walk without a memo: every round steps every joint state
+    through the behaviour machines, and successors merge on a key that also
+    keeps a tit-for-tat level and tells an unobserved opponent from one seen
+    to cooperate."""
+    results = {(C, C): 1, (C, D): 3, (D, C): 0, (D, D): 2}
+
+    def side(spec, state, action, opponent_action):
+        result = results[action, opponent_action]
+        prob = check_probability(spec, state)
+        unseen = (False, result, state)
+        if not prob > 0.0:
+            return prob, [unseen]
+        after = observe(spec, state, opponent_action)
+        seen = (True, result + (8 if after.reverted and not state.reverted else 4), after)
+        return prob, [seen] if prob >= 1.0 else [seen, unseen]
+
+    def key(state):
+        return (0 if state.trusting else state.trust_level, *state[1:])
+
+    frontier = [(mass, initial_state(spec_a), initial_state(spec_b))]
+    for i in range(rounds):
+        successors = {}
+        for mass, sa, sb in frontier:
+            act_a = next_action(spec_a, sa)
+            act_b = next_action(spec_b, sb)
+            prob_a, branches_a = side(spec_a, sa, act_a, act_b)
+            prob_b, branches_b = side(spec_b, sb, act_b, act_a)
+            for seen_a, code_a, sa2 in branches_a:
+                part = split(i, 0, mass, prob_a, seen_a)
+                if part is None:
+                    continue
+                for seen_b, code_b, sb2 in branches_b:
+                    cell = split(i, 1, part, prob_b, seen_b)
+                    if cell is None:
+                        continue
+                    record(i, cell, act_a, act_b, code_a, code_b)
+                    joint = (key(sa2), key(sb2))
+                    hit = successors.get(joint)
+                    successors[joint] = (
+                        (cell, sa2, sb2) if hit is None else (hit[0] + cell,) + hit[1:]
+                    )
+        if len(successors) > match_sim._STATE_LIMIT:
+            raise StateSpaceError("joint state budget exceeded")
+        frontier = successors.values()
+
+
+class TestMemoisedWalk:
+    """The walk that steps each joint behaviour state once equals the
+    stepwise reference walk bit for bit, in the enumerator, the traced
+    match and Monte Carlo."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        theta=st.integers(1, 10),
+        prob=st.one_of(st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0)),
+        pair=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        rounds=st.integers(1, 60),
+        convention=st.sampled_from(list(CostConvention)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(10, 5e-324, (3, 4), 60, CostConvention.DETECTION_FREE, 0)
+    @example(1, 0.5, (3, 3), 60, CostConvention.EVERY_CHECK, 1)
+    def test_equals_the_stepwise_walk(self, theta, prob, pair, rounds, convention, seed):
+        pool = strategy_pool(theta, prob)
+        a, b = pool[pair[0]], pool[pair[1]]
+        game = make_prisoners_dilemma(check_cost=0.3, expected_rounds=rounds)
+
+        def outputs():
+            return (
+                expected_outcomes(a, b, rounds).tobytes(),
+                repr(play_match(a, b, game, convention=convention, seed=seed)),
+                repr(monte_carlo_payoffs(a, b, game, convention=convention, samples=9, seed=seed)),
+            )
+
+        memoised = outputs()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(match_sim, "_walk", _stepwise_walk)
+            assert outputs() == memoised
+
+
+class TestLongMatchBlocks:
+    """Matches over 512 rounds take fewer samples per lockstep block, so
+    the draws held at once stay within ``_BLOCK * 512`` rounds."""
+
+    @pytest.mark.parametrize("convention", list(CostConvention))
+    def test_multi_block_long_match_equals_one_sample_blocks(self, monkeypatch, convention):
+        """With ``_BLOCK = 8`` a 1,500-round match takes blocks of 2 samples."""
+        game = make_prisoners_dilemma(check_cost=0.3, expected_rounds=1500)
+
+        def estimates():
+            mc = monte_carlo_payoffs(
+                tuc(2, 0.3), tud(2), game, convention=convention, samples=5, seed=6
+            )
+            return [x.hex() for x in (mc.mean_a, mc.mean_b, mc.stderr_a, mc.stderr_b)]
+
+        monkeypatch.setattr(match_sim, "_BLOCK", 8)
+        blocks = estimates()
+        monkeypatch.setattr(match_sim, "_BLOCK", 1)
+        assert estimates() == blocks
+
+    def test_draws_held_at_once_are_bounded(self):
+        """512 samples of 2,048 rounds would hold 16 MB of draws in one
+        block; two blocks of 256 samples hold 8 MB."""
+        import tracemalloc
+
+        game = make_prisoners_dilemma(expected_rounds=2048)
+        tracemalloc.start()
+        try:
+            mc = monte_carlo_payoffs(ALLC, ALLD, game, samples=512, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        t, _, _, s = game.scaled_payoffs()
+        assert (mc.mean_a, mc.mean_b) == (s, t)
+        assert 1024 * 512 * 2 * 8 <= peak < 9 * 2**20

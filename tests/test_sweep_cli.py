@@ -737,15 +737,18 @@ class TestCliVerify:
 
         import trustevo.verification as verification
 
-        analytic_entry = verification.analytic_entry
+        payoff_tables = verification.payoff_tables
         game = make_prisoners_dilemma(expected_rounds=20.0)
+        point = (*game.scaled_payoffs(), game.expected_rounds, game.check_cost)
 
-        def nan_at_one_entry(row, col, at):
-            if (row, col, at) == (tuc(3, 0.1), tud(3), game):
-                return math.nan
-            return analytic_entry(row, col, at)
+        def nan_at_one_entry(kinds, t, r, p, s, n, eps, theta, check):
+            values = payoff_tables(kinds, t, r, p, s, n, eps, theta, check)
+            if (theta, check[0]) == (3, 0.1):
+                at = np.all(np.transpose([t, r, p, s, n, eps]) == point, axis=1)
+                values[at, kinds.index(tuc(3, 0.1).kind), kinds.index(tud(3).kind)] = math.nan
+            return values
 
-        monkeypatch.setattr(verification, "analytic_entry", nan_at_one_entry)
+        monkeypatch.setattr(verification, "payoff_tables", nan_at_one_entry)
         report = verification.run_oracle_verification()
         assert not report.ok
         assert report.failures == 1
