@@ -92,7 +92,8 @@ def _fixation_sums(args: np.ndarray) -> np.ndarray:
     A +inf peak is not shifted away (inf - inf is NaN): its entry is 0."""
     peak = args.max(axis=-1)
     logged = peak >= _EXP_GUARD
-    args -= np.where(logged & (peak < np.inf), peak, 0.0)[..., None]
+    if logged.any():  # elsewhere the shift is 0.0, which changes nothing
+        args -= np.where(logged & (peak < np.inf), peak, 0.0)[..., None]
     sums = np.exp(args, out=args).sum(axis=-1)
     rho = 1.0 / (1.0 + sums)
     rho[logged] = np.exp(-np.logaddexp(0.0, peak[logged] + np.log(sums[logged])))
@@ -124,25 +125,35 @@ def fixation_matrix(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
     """Entry (..., i, j): probability that one j-mutant takes over i-residents,
     for one payoff table or a ``(..., s, s)`` stack of them.
 
-    Follows ``group_payoffs`` operation for operation; the diagonal is unused.
+    Follows ``group_payoffs`` operation for operation, once per pair r < m:
+    r-mutants at N - k among m-residents multiply the same operands (N - k and
+    k - 1 are exact), so their advantage is m's negated and reversed, bit for
+    bit.  The diagonal is the neutral 1/N.
     """
     n = params.population_size
     _check_table(values, n)
+    strategies = np.arange(values.shape[-1])
+    r, m = np.nonzero(strategies[:, None] < strategies)
     k = np.arange(1, n, dtype=float)
     own = np.diagonal(values, axis1=-2, axis2=-1)
-    # Axis -3 is the resident r, axis -2 the mutant m, axis -1 the count k.
-    advantage = np.multiply(values.swapaxes(-1, -2)[..., None], n - k)
-    advantage += (k - 1) * own[..., None, :, None]
+    # Axis -2 is the pair (r, m), axis -1 the count k of m-mutants.
+    advantage = np.multiply(values[..., m, r, None], n - k)
+    advantage += (k - 1) * own[..., m, None]
     advantage /= n - 1
-    resident = np.multiply(values[..., None], k)
-    resident += (n - k - 1) * own[..., :, None, None]
+    resident = np.multiply(values[..., r, m, None], k)
+    resident += (n - k - 1) * own[..., r, None]
     resident /= n - 1
     advantage -= resident
-    args = np.cumsum(advantage, axis=-1, out=resident)
+    # Rows of m invading r, then of r invading m.
+    args = np.concatenate([advantage, -advantage[..., ::-1]], axis=-2)
+    np.add.accumulate(args, axis=-1, out=args)
     # Beyond the float range beta * sum is +-inf, whose limits are exact.
     with np.errstate(over="ignore"):
         args *= -params.selection_strength
-        return _fixation_sums(args)
+        rho = _fixation_sums(args)
+    fixation = np.full(values.shape, 1.0 / n)
+    fixation[..., r, m], fixation[..., m, r] = rho[..., : len(r)], rho[..., len(r) :]
+    return fixation
 
 
 def fixation_probability(

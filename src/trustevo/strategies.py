@@ -32,6 +32,7 @@ from .errors import ParameterDomainError, require_int
 class Action(Enum):
     COOPERATE = "C"
     DEFECT = "D"
+    __hash__ = object.__hash__  # exact for singletons, and C code, unlike Enum's
 
 
 class StrategyKind(Enum):
@@ -40,6 +41,7 @@ class StrategyKind(Enum):
     TFT = "TFT"
     TUC = "TUC"
     TUD = "TUD"
+    __hash__ = object.__hash__
 
 
 TRUST_KINDS = frozenset({StrategyKind.TUC, StrategyKind.TUD})

@@ -67,8 +67,8 @@ _OUTPUT_COLUMNS = (
 # count is likelier a typo than a study, and is refused before the axis
 # values or the grid are built.
 _MAX_POINTS = 100_000
-# Most fixation-sum terms, 8 bytes each, one chunk of points stacks at once:
-# 26 points at N=100, 2 at N=1000.
+# A chunk's budget of fixation terms, 8 bytes each, at 5 x 5 a point and
+# mutant count: 26 points at N=100, 2 at N=1000.
 _CHUNK_ELEMENTS = 65_536
 
 
@@ -218,25 +218,33 @@ def _grid_points(config: SweepConfig):
 
 def _chunks(points):
     """Runs of consecutive points sharing N and beta, each of at most
-    ``_CHUNK_ELEMENTS`` fixation terms, 5 x 5 x (N - 1) a point."""
+    ``_CHUNK_ELEMENTS // (25 (N - 1))`` points; a point sums 20 series."""
     for (n, _), run in itertools.groupby(points, itemgetter("population", "selection_strength")):
         run, step = list(run), max(1, _CHUNK_ELEMENTS // (25 * max(int(n) - 1, 1)))
         yield from (run[i : i + step] for i in range(0, len(run), step))
 
 
-def _evaluate(points: list[dict]) -> list[dict]:
-    """Rows of a chunk of points; its tables, chains and solves are stacks."""
-    games = [GameSpec(**{name: row[name] for name in _GAME_PARAMS}) for row in points]
-    pools = [strategy_pool(int(row["trust_threshold"]), row["check_prob"]) for row in points]
-    # Also checks each threshold against its match length, before the tables.
-    indices = np.array([
-        [selfplay_cooperation_index(spec, game.expected_rounds) for spec in pool]
-        for pool, game in zip(pools, games)
-    ])
+def _evaluate(points: list[dict], built: tuple[dict, dict, dict]) -> list[dict]:
+    """Rows of a chunk of points; its tables, chains and solves are stacks.
+    ``built`` holds each distinct game, pool and index row the sweep checked."""
+    games, pools, selfplay = built
+    indices = []
+    for row in points:
+        game = tuple(map(row.__getitem__, _GAME_PARAMS))
+        trust = int(row["trust_threshold"]), row["check_prob"]
+        if game not in games:
+            games[game] = GameSpec(*game)
+        if trust not in pools:
+            pools[trust] = strategy_pool(*trust)
+        key = (*trust, games[game].expected_rounds)
+        if key not in selfplay:  # also checks the threshold against the match length
+            selfplay[key] = [selfplay_cooperation_index(spec, key[2]) for spec in pools[trust]]
+        indices.append(selfplay[key])
+    indices = np.array(indices)
     column = {name: np.array([row[name] for row in points], dtype=float) for name in points[0]}
     scale = column["payoff_scale"]
     values = payoff_tables(
-        [spec.kind for spec in pools[0]],
+        [spec.kind for spec in pools[trust]],
         *(scale * column[name] for name in ("temptation", "reward", "punishment", "sucker")),
         *map(column.get, ("expected_rounds", "check_cost", "trust_threshold", "check_prob")),
     )
@@ -245,22 +253,22 @@ def _evaluate(points: list[dict]) -> list[dict]:
     coop_with = population_cooperation(freqs, indices)
     coop_without = population_cooperation(without, indices[:, :3])
     outputs = np.column_stack([freqs, coop_with, coop_without, coop_with - coop_without])
+    columns = (*(f"param:{name}" for name in points[0]), *_OUTPUT_COLUMNS)
     return [
-        {**{f"param:{k}": v for k, v in row.items()}, **dict(zip(_OUTPUT_COLUMNS, out))}
-        for row, out in zip(points, outputs.tolist())
+        dict(zip(columns, (*row.values(), *out))) for row, out in zip(points, outputs.tolist())
     ]
 
 
 def run_sweep(config: SweepConfig) -> list[dict]:
     """Evaluate every grid point, in deterministic grid order."""
-    rows = []
+    rows, built = [], ({}, {}, {})
     for points in _chunks(_grid_points(config)):
         try:
-            rows += _evaluate(points)
+            rows += _evaluate(points, built)
         except (ValueError, NumericalError):
             for point in points:  # the chunk's first point refused on its own
                 try:
-                    _evaluate([point])
+                    _evaluate([point], built)
                 except (ValueError, NumericalError) as exc:
                     at = ", ".join(f"{name}={point[name]!r}" for name, _ in config.axes)
                     raise type(exc)(f"{exc} (sweep point {at or 'without axes'})") from None

@@ -333,6 +333,12 @@ class TestChainProperties:
         assert (rho[off_diagonal] == 1 / n).all()
 
     @settings(max_examples=60, deadline=None)
+    @given(values=TABLES, n=POPULATIONS, unit=st.floats(1e-3, 1.0))
+    def test_the_diagonal_is_exactly_one_over_n(self, values, n, unit):
+        rho = evolution.fixation_matrix(values, EvolutionParams(n, capped_beta(unit, n, values)))
+        assert (np.diagonal(rho) == 1 / n).all()
+
+    @settings(max_examples=60, deadline=None)
     @given(
         picks=st.lists(st.integers(0, 4), min_size=2, max_size=5, unique=True),
         theta=st.integers(1, 5),
@@ -372,8 +378,10 @@ class TestStacks:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        tables=st.integers(2, 5).flatmap(
-            lambda size: arrays(np.float64, (4, size, size), elements=st.floats(-3.0, 3.0))
+        tables=st.tuples(st.sampled_from(((4,), (2, 3))), st.integers(2, 5)).flatmap(
+            lambda shape: arrays(
+                np.float64, (*shape[0], shape[1], shape[1]), elements=st.floats(-3.0, 3.0)
+            )
         ),
         n=POPULATIONS,
         unit=UNIT,
@@ -382,10 +390,10 @@ class TestStacks:
         params = EvolutionParams(n, capped_beta(unit, n, tables))
         fixation = evolution.fixation_matrix(tables, params)
         stacked = stationary_distribution(evolution.chain_from_fixation(fixation))
-        for table, rho, pi in zip(tables, fixation, stacked.probabilities):
-            assert np.array_equal(evolution.fixation_matrix(table, params), rho)
-            alone = stationary_distribution(markov_transition_matrix(table, params))
-            assert np.array_equal(alone.probabilities, pi)
+        for at in np.ndindex(tables.shape[:-2]):
+            assert np.array_equal(evolution.fixation_matrix(tables[at], params), fixation[at])
+            alone = stationary_distribution(markov_transition_matrix(tables[at], params))
+            assert np.array_equal(alone.probabilities, stacked.probabilities[at])
 
     def test_a_bad_table_is_named_by_its_index(self):
         stack = np.stack([DEFAULT_VALUES] * 3)

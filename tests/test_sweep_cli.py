@@ -209,6 +209,16 @@ class TestSweepEvaluation:
             got = [row[column] for column in sweep_columns(rows) if not column.startswith("param:")]
             assert [float(x).hex() for x in got] == [float(x).hex() for x in expected]
 
+    def test_each_distinct_game_and_pool_is_built_once(self):
+        """fig5's 252 points hold 21 games (one per check cost) and 12 pools
+        (one per check probability)."""
+        config = preset_config("fig5")
+        with mock.patch.object(sweep, "GameSpec", wraps=GameSpec) as games, mock.patch.object(
+            sweep, "strategy_pool", wraps=sweep.strategy_pool
+        ) as pools:
+            rows = run_sweep(config)
+        assert (len(rows), games.call_count, pools.call_count) == (252, 21, 12)
+
     def test_column_order_is_stable(self):
         rows = run_sweep(preset_config("fig3"))
         columns = sweep_columns(rows)
