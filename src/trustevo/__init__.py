@@ -42,7 +42,7 @@ from .metrics import (
     population_cooperation,
     selfplay_cooperation_index,
 )
-from .payoffs import PayoffMatrix, analytic_entry, payoff_matrix
+from .payoffs import PayoffMatrix, payoff_matrix
 from .strategies import (
     ALLC,
     ALLD,
@@ -87,7 +87,6 @@ __all__ = [
     "ALLC",
     "ALLD",
     "TFT",
-    "analytic_entry",
     "check_probability",
     "cooperation_report",
     "exact_expected_payoffs",

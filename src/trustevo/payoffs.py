@@ -129,15 +129,6 @@ def _closed_form(kr, kc, t, r, p, s, n, eps, theta, check):
     return (theta * r + (n - theta) * p - theta * eps) / n
 
 
-def analytic_entry(row: StrategySpec, col: StrategySpec, game: GameSpec) -> float:
-    """Expected per-round payoff of the row strategy against the column one."""
-    t, r, p, s = game.scaled_payoffs()
-    n = game.expected_rounds
-    theta = _trust_threshold((row, col), n)
-    check = col.check_prob if row.check_prob is None else row.check_prob
-    return _closed_form(row.kind, col.kind, t, r, p, s, n, game.check_cost, theta, check)
-
-
 @dataclass
 class PayoffMatrix:
     """Square table of expected per-round payoffs for an ordered strategy set."""

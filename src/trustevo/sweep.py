@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import io
 import itertools
 import math
@@ -224,27 +225,20 @@ def _chunks(points):
         yield from (run[i : i + step] for i in range(0, len(run), step))
 
 
-def _evaluate(points: list[dict], built: tuple[dict, dict, dict]) -> list[dict]:
+def _evaluate(points: list[dict], built) -> list[dict]:
     """Rows of a chunk of points; its tables, chains and solves are stacks.
-    ``built`` holds each distinct game, pool and index row the sweep checked."""
-    games, pools, selfplay = built
+    ``built`` holds the sweep's cached game, pool and index-row builders."""
+    game_of, pool_of, indices_of = built
     indices = []
     for row in points:
-        game = tuple(map(row.__getitem__, _GAME_PARAMS))
+        game = game_of(*map(row.__getitem__, _GAME_PARAMS))
         trust = int(row["trust_threshold"]), row["check_prob"]
-        if game not in games:
-            games[game] = GameSpec(*game)
-        if trust not in pools:
-            pools[trust] = strategy_pool(*trust)
-        key = (*trust, games[game].expected_rounds)
-        if key not in selfplay:  # also checks the threshold against the match length
-            selfplay[key] = [selfplay_cooperation_index(spec, key[2]) for spec in pools[trust]]
-        indices.append(selfplay[key])
+        indices.append(indices_of(*trust, game.expected_rounds))
     indices = np.array(indices)
     column = {name: np.array([row[name] for row in points], dtype=float) for name in points[0]}
     scale = column["payoff_scale"]
     values = payoff_tables(
-        [spec.kind for spec in pools[trust]],
+        [spec.kind for spec in pool_of(*trust)],
         *(scale * column[name] for name in ("temptation", "reward", "punishment", "sucker")),
         *map(column.get, ("expected_rounds", "check_cost", "trust_threshold", "check_prob")),
     )
@@ -261,7 +255,13 @@ def _evaluate(points: list[dict], built: tuple[dict, dict, dict]) -> list[dict]:
 
 def run_sweep(config: SweepConfig) -> list[dict]:
     """Evaluate every grid point, in deterministic grid order."""
-    rows, built = [], ({}, {}, {})
+    pool_of = functools.cache(strategy_pool)
+
+    @functools.cache
+    def indices_of(theta, check_prob, rounds):  # also checks theta against the match length
+        return [selfplay_cooperation_index(spec, rounds) for spec in pool_of(theta, check_prob)]
+
+    rows, built = [], (functools.cache(GameSpec), pool_of, indices_of)
     for points in _chunks(_grid_points(config)):
         try:
             rows += _evaluate(points, built)
@@ -278,37 +278,25 @@ def run_sweep(config: SweepConfig) -> list[dict]:
 
 def sweep_table(rows: Sequence[dict]) -> list[list]:
     """The sweep's header row, then each row's values in column order."""
-    columns = sweep_columns(rows)
+    columns = sorted(k for k in rows[0] if k.startswith("param:")) + list(_OUTPUT_COLUMNS)
     return [columns, *([row[c] for c in columns] for row in rows)]
-
-
-def sweep_columns(rows: Sequence[dict]) -> list[str]:
-    params = sorted(k for k in rows[0] if k.startswith("param:"))
-    return params + list(_OUTPUT_COLUMNS)
-
-
-def format_value(value: float) -> str:
-    """Shortest decimal string that round-trips the exact double."""
-    return repr(float(value))
 
 
 def write_rows(rows: Sequence[Sequence], out: io.TextIOBase | str | None = None) -> None:
     """Write ``rows`` as CSV lines to a stream, a file path, or stdout (None).
 
-    Strings are written as they are and numbers through :func:`format_value`.
+    Strings are written as they are and any other value as ``repr(float(v))``.
     The whole text is built first, so a NaN or infinite number raises
     ``NumericalError`` before stdout is touched or a file is opened.
     """
     lines = []
-    for row in rows:
+    for line, row in enumerate(rows, 1):
         cells = []
         for value in row:
             if not isinstance(value, str):
-                value = format_value(value)
-                if value in ("nan", "inf", "-inf"):
-                    raise NumericalError(
-                        f"output line {len(lines) + 1} holds the non-finite value {value}"
-                    )
+                if not math.isfinite(value := float(value)):
+                    raise NumericalError(f"output line {line} holds the non-finite value {value}")
+                value = repr(value)
             cells.append(value)
         lines.append(",".join(cells) + "\n")
     if isinstance(out, str):

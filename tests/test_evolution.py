@@ -1,11 +1,13 @@
 import dataclasses
+import decimal
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import trustevo.evolution as evolution
@@ -54,6 +56,50 @@ def absorption_oracle(values, mutant, resident, params):
         if k - 1 >= 1:
             system[i, i - 1] = -loss
     return float(np.linalg.solve(system, rhs)[0])
+
+
+def exact_advantages(values, mutant, resident, n):
+    """Cumulative advantages ``sum_{k<=j} (pi_m(k) - pi_r(k))`` for j < N, and
+    ``sum_k (|pi_m(k)| + |pi_r(k)|)``, exact: the float table is read as
+    fractions.  Stdlib only, sharing no code with the kernel."""
+    a = [[Fraction(x) for x in row] for row in values]
+    m, r = mutant, resident
+    cumulative, payoffs, sums = Fraction(0), Fraction(0), []
+    for k in range(1, n):
+        pi_m = ((k - 1) * a[m][m] + (n - k) * a[m][r]) / (n - 1)
+        pi_r = (k * a[r][m] + (n - k - 1) * a[r][r]) / (n - 1)
+        cumulative += pi_m - pi_r
+        payoffs += abs(pi_m) + abs(pi_r)
+        sums.append(cumulative)
+    return sums, payoffs
+
+
+def exact_fixation(sums, beta):
+    """``1 / (1 + sum_j exp(-beta * sums_j))`` from exact exponents; only
+    ``exp``, the sum and the division round, in decimal at 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 40, decimal.MAX_EMAX, decimal.MIN_EMIN
+        exponents = (-Fraction(beta) * s for s in sums)
+        total = sum((decimal.Decimal(x.numerator) / x.denominator).exp() for x in exponents)
+        return float(1 / (1 + total))
+
+
+def assert_within_summation_bound(values, n, beta):
+    """Each off-diagonal entry of ``fixation_matrix`` lies within
+    ``8 eps (N + beta sum_k (|pi_m(k)| + |pi_r(k)|))`` of the exact value,
+    relative, or absolute at the smallest normal float below it (the
+    summation bound's form, Higham 2002, sec. 4); a value below the float
+    range comes out as 0 or subnormal, never NaN."""
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    got = evolution.fixation_matrix(np.array(values), EvolutionParams(n, beta))
+    for resident, mutant in itertools.permutations(range(len(values)), 2):
+        sums, payoffs = exact_advantages(values, mutant, resident, n)
+        exact = exact_fixation(sums, beta)
+        bound = 8 * eps * (n + beta * float(payoffs))
+        value = got[resident, mutant]
+        assert abs(value - exact) <= bound * max(exact, tiny), (resident, mutant, value, exact)
+        if exact < tiny:
+            assert 0.0 <= value < tiny, (resident, mutant, value, exact)
 
 
 def scalar_chain(values, params):
@@ -209,6 +255,37 @@ class TestFixationProbability:
         values = np.array([[bad, 1.0], [1.0, 1.0]])
         with pytest.raises(NumericalError, match="non-finite"):
             fixation_probability(values, 1, 0, EvolutionParams(100, 0.1))
+
+
+# Payoff tables of two or three strategies with entries in [-10, 10].
+SMALL_TABLES = st.integers(2, 3).flatmap(
+    lambda size: st.lists(
+        st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size),
+        min_size=size, max_size=size,
+    )
+)
+
+
+class TestExactFixationOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        values=SMALL_TABLES,
+        n=st.integers(2, 100),
+        beta=st.floats(-3.0, math.log10(300.0)).map(lambda e: 10.0**e),
+    )
+    def test_direct_sums_within_the_summation_bound(self, values, n, beta):
+        assert_within_summation_bound(values, n, beta)
+
+    @settings(max_examples=15, deadline=None)
+    @given(values=SMALL_TABLES, n=st.integers(2, 100), peak=st.floats(701.0, 740.0))
+    def test_log_space_sums_within_the_summation_bound(self, values, n, peak):
+        """beta puts the peak exponent of 1 invading 0 at ``peak``, past the
+        kernel's ``_EXP_GUARD``; the result is near or below the smallest
+        normal float."""
+        sums, _ = exact_advantages(values, 1, 0, n)
+        unit = max(-s for s in sums)
+        assume(unit >= 1)
+        assert_within_summation_bound(values, n, peak / float(unit))
 
 
 def _simulated(values, mutant, resident, params):

@@ -20,7 +20,6 @@ from trustevo.match_sim import (
     play_match,
 )
 from trustevo.metrics import strategy_pool
-from trustevo.payoffs import analytic_entry
 from trustevo.strategies import (
     ALLC,
     ALLD,
@@ -36,6 +35,9 @@ from trustevo.strategies import (
     tud,
 )
 from trustevo.verification import _tolerance_ratio, run_oracle_verification
+
+import test_payoffs
+from test_payoffs import analytic_entry
 
 C = Action.COOPERATE
 D = Action.DEFECT
@@ -333,7 +335,6 @@ def _scalar_verification(tolerance=1e-10):
     """Reference loop: one walk per (theta, p, pair), priced one game and
     compared one entry at a time against the scalar closed forms, over the
     verification module's grid."""
-    import trustevo.payoffs as payoffs
     import trustevo.verification as verification
 
     games = []
@@ -357,7 +358,7 @@ def _scalar_verification(tolerance=1e-10):
                     continue
                 exact_a, exact_b = counts[rounds - 1] @ price / rounds
                 for row, col, exact in ((a, b, exact_a), (b, a, exact_b)):
-                    analytic = payoffs.analytic_entry(row, col, game)
+                    analytic = test_payoffs.analytic_entry(row, col, game)
                     ratio = _scalar_ratio(analytic, exact, tolerance)
                     comparisons += 1
                     failures += not ratio <= 1.0
@@ -401,8 +402,6 @@ class TestOracleVerification:
     def test_a_nan_entry_matches_the_scalar_loop(self, small_grid, monkeypatch):
         """The same entry is NaN in verify's stacked tables and in the scalar
         closed forms of the reference loop."""
-        import trustevo.payoffs as payoffs
-
         game = make_prisoners_dilemma(expected_rounds=20.0)
 
         def nan_at_one_entry(row, col, at):
@@ -410,7 +409,7 @@ class TestOracleVerification:
                 return math.nan
             return analytic_entry(row, col, at)
 
-        monkeypatch.setattr(payoffs, "analytic_entry", nan_at_one_entry)
+        monkeypatch.setattr(test_payoffs, "analytic_entry", nan_at_one_entry)
         monkeypatch.setattr(
             small_grid, "payoff_tables", _nan_in_tables(tud(3), tuc(3, 0.25), game)
         )

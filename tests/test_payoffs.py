@@ -6,11 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from trustevo.errors import NumericalError, ParameterDomainError
 from trustevo.game_model import make_prisoners_dilemma
-from trustevo.payoffs import analytic_entry, payoff_matrix, payoff_tables
+from trustevo.payoffs import payoff_matrix, payoff_tables
 from trustevo.strategies import ALLC, ALLD, TFT, tuc, tud
 
 DEFAULT_GAME = make_prisoners_dilemma()
 DEFAULT_SET = (ALLC, ALLD, TFT, tuc(3, 0.25), tud(3))
+
+
+def analytic_entry(row, col, game):
+    """Expected per-round payoff of the row strategy against the column one:
+    the corner of the pair's closed-form table (of ``row`` alone when both
+    share a kind)."""
+    return payoff_matrix((row,) if row.kind is col.kind else (row, col), game).values[0, -1]
 
 
 class TestClassicEntries:

@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import hashlib
 import io
 import math
 import re
+import shlex
 from pathlib import Path
 from unittest import mock
 
@@ -21,11 +23,10 @@ from trustevo.payoffs import payoff_matrix
 from trustevo.strategies import ALLC, ALLD, TFT, tuc, tud
 from trustevo.sweep import (
     SweepConfig,
-    format_value,
     parse_config,
     preset_config,
     run_sweep,
-    sweep_columns,
+    sweep_table,
     write_csv,
     write_rows,
 )
@@ -33,6 +34,12 @@ from trustevo.sweep import (
 GOLDEN = Path(__file__).parent / "data" / "fig3_golden.csv"
 # sha256sum lines of the fig4, fig5 and appendix preset CSVs.
 PRESET_HASHES = (Path(__file__).parent / "data" / "preset_sha256.txt").read_text().splitlines()
+# Tab-separated lines: a command line, its exit code, the sha256 of its
+# stdout and the repr of its stderr.
+CLI_PINS = [
+    line.split("\t")
+    for line in (Path(__file__).parent / "data" / "cli_sha256.txt").read_text().splitlines()
+]
 
 # INI files that configparser itself refuses or misreads: a duplicate key, a
 # duplicate section, no section header, a '%' in a value, a [DEFAULT]
@@ -206,7 +213,9 @@ class TestSweepEvaluation:
                 *report.stationary_with.probabilities, report.with_trust,
                 report.without_trust, report.delta,
             ]
-            got = [row[column] for column in sweep_columns(rows) if not column.startswith("param:")]
+            got = [
+                row[column] for column in sweep_table(rows)[0] if not column.startswith("param:")
+            ]
             assert [float(x).hex() for x in got] == [float(x).hex() for x in expected]
 
     def test_each_distinct_game_and_pool_is_built_once(self):
@@ -221,7 +230,7 @@ class TestSweepEvaluation:
 
     def test_column_order_is_stable(self):
         rows = run_sweep(preset_config("fig3"))
-        columns = sweep_columns(rows)
+        columns = sweep_table(rows)[0]
         params = [c for c in columns if c.startswith("param:")]
         assert params == sorted(params)
         assert columns[len(params):] == [
@@ -236,7 +245,14 @@ class TestSweepEvaluation:
         ]
 
 
-class TestValueFormatting:
+def format_value(value):
+    """One number's CSV cell, as ``write_rows`` writes it."""
+    buffer = io.StringIO()
+    write_rows([[value]], buffer)
+    return buffer.getvalue().removesuffix("\n")
+
+
+class TestRowWriter:
     def test_round_trip(self):
         for value in (0.1, 1.0 / 3.0, 1e-17, 123456.789, -0.27):
             assert float(format_value(value)) == value
@@ -245,8 +261,10 @@ class TestValueFormatting:
         assert format_value(0.25) == "0.25"
         assert format_value(50.0) == "50.0"
 
+    @pytest.mark.parametrize("value", [7, np.float32(0.1), -0.0])
+    def test_other_numbers_print_as_python_floats(self, value):
+        assert format_value(value) == repr(float(value))
 
-class TestRowWriter:
     def test_strings_as_they_are_and_numbers_formatted(self):
         buffer = io.StringIO()
         write_rows([["", "A"], ["A", 0.25], ["n", "7", np.float64(50)]], buffer)
@@ -391,6 +409,15 @@ check_prob = 0.6
         ):
             with pytest.raises(ConfigError):
                 parse_config(self.write(tmp_path, body))
+
+
+@pytest.mark.parametrize("command, code, digest, stderr", CLI_PINS, ids=[p[0] for p in CLI_PINS])
+def test_cli_bytes_are_pinned(command, code, digest, stderr, capsys):
+    """Each pinned command keeps its stdout bytes, stderr and exit code."""
+    assert main(shlex.split(command)) == int(code)
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == ast.literal_eval(stderr)
 
 
 class TestCliTables:
