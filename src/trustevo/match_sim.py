@@ -9,9 +9,11 @@ observation lottery branch by branch, a branch giving an outcome code and a
 next state.  The caller only says what mass a branch carries: a probability
 weight in the enumerator, a boolean mask of the samples whose draw picks it
 in a rollout.  States that cannot behave differently merge, their masses
-added, and each distinct joint state is stepped once per walk.  The 12 codes
-cross the result (T, R, P or S, from the player's side) with the
-observation: none, a paid check, or the check that catches a defection.
+added, and each distinct joint state is stepped once per walk.  The
+enumerator's walk ends at the first round that leaves the frontier as it
+found it, later rounds repeating its counts; a rollout walks every round.
+The 12 codes cross the result (T, R, P or S, from the player's side) with
+the observation: none, a paid check, or the check that catches a defection.
 :func:`outcome_payoffs` prices them for one game and cost convention.
 
 * :func:`play_match` rolls out one seeded match and returns the full trace.
@@ -72,7 +74,8 @@ from .strategies import (
 # this limit means a bug, not a big computation.
 _STATE_LIMIT = 256
 
-# Monte Carlo samples per lockstep rollout, fewer past 512 rounds: at most 8 MB of draws.
+# Monte Carlo samples per lockstep rollout, fewer past 512 rounds: at most 8 MB of
+# draws up to 524,288 rounds; past that one sample a block, 16 bytes a round.
 _BLOCK = 1024
 
 
@@ -165,7 +168,7 @@ def _behaviour_key(spec: StrategySpec, state: StrategyState) -> StrategyState:
     return StrategyState(level, state.trusting, state.reverted, last)
 
 
-def _walk(spec_a, spec_b, rounds, mass, split, record):
+def _walk(spec_a, spec_b, rounds, mass, split, record, settle=False):
     """Walk the joint states for ``rounds`` rounds from ``mass``.
 
     ``split(i, player, mass, prob, observed)`` gives the mass of one branch of
@@ -174,6 +177,9 @@ def _walk(spec_a, spec_b, rounds, mass, split, record):
     outcome.  States are kept as behaviour keys; successors with equal keys
     add their masses with ``+``: weights sum and boolean sample masks unite.
     Each joint key is stepped once per walk, and later rounds reuse its step.
+    Returns the rounds walked.  With ``settle`` (float masses, and a ``split``
+    that weighs every round alike) the walk ends after a round that leaves the
+    frontier as it found it: the same keys in the same order, each mass ``==``.
     """
     steps = {}
     frontier = {(initial_state(spec_a), initial_state(spec_b)): mass}
@@ -201,7 +207,10 @@ def _walk(spec_a, spec_b, rounds, mass, split, record):
                 f"joint state count {len(successors)} exceeded the budget; "
                 "the behaviour key has stopped collapsing states"
             )
+        if settle and list(successors.items()) == list(frontier.items()):
+            return i + 1
         frontier = successors
+    return rounds
 
 
 def _rollout(spec_a, spec_b, game, convention, draws, trace=None):
@@ -220,8 +229,8 @@ def _rollout(spec_a, spec_b, game, convention, draws, trace=None):
 
     def record(i, cell, act_a, act_b, code_a, code_b):
         pay_a, pay_b = payoffs[code_a], payoffs[code_b]
-        totals[0, cell] += pay_a
-        totals[1, cell] += pay_b
+        np.add(totals[0], pay_a, out=totals[0], where=cell)
+        np.add(totals[1], pay_b, out=totals[1], where=cell)
         if trace is not None:
             trace.append((act_a, act_b, code_a >= 4, code_b >= 4, pay_a, pay_b))
 
@@ -299,7 +308,8 @@ def expected_outcomes(spec_a: StrategySpec, spec_b: StrategySpec, rounds: int) -
         counts[i][code_a] += weight
         counts[i][12 + code_b] += weight
 
-    _walk(spec_a, spec_b, rounds, 1.0, split, record)
+    walked = _walk(spec_a, spec_b, rounds, 1.0, split, record, settle=True)
+    counts[walked:] = [counts[walked - 1]] * (rounds - walked)
     return np.cumsum(np.reshape(counts, (rounds, 2, 12)), axis=0)
 
 

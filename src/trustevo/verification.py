@@ -8,8 +8,9 @@ relative disagreement and where it sits.  The enumerator's outcome counts
 hold no game and a shorter match is a prefix of a longer one, so each
 distinct strategy pair is walked once, to the longest grid match, and priced
 against all grid games in one product; ALLC v ALLD serves every (theta, p)
-cell from one walk.  The closed forms price a cell as one ``payoff_tables``
-stack, as the sweeps do, and each cell is compared as one array.
+cell from one walk.  The closed forms price the whole grid as one
+``payoff_tables`` stack, theta and p given per game as the sweeps give them,
+and each (theta, p) cell is compared as one array sliced from it.
 """
 
 from __future__ import annotations
@@ -82,19 +83,22 @@ def run_oracle_verification() -> OracleReport:
     rounds = np.array([r for r, _, _ in grid])
     prices = np.array([outcome_payoffs(game) for game in games])
     terms = np.array([(*g.scaled_payoffs(), g.expected_rounds, g.check_cost) for g in games])
+    cells = list(product(GRID_THRESHOLDS, GRID_CHECK_PROBS))
+    kept_games = [[g for g, (r, _, _) in enumerate(grid) if r > theta] for theta, _ in cells]
+    columns = [(*terms[g], theta, p) for (theta, p), kept in zip(cells, kept_games) for g in kept]
+    stack = payoff_tables([s.kind for s in strategy_pool(*cells[0])], *np.array(columns).T)
+    offsets = np.cumsum([len(kept) for kept in kept_games])[:-1]
     priced = {}  # (a, b) -> (games, 2) mean payoffs of a and b in each grid game
     comparisons = failures = 0
     worst, worst_at = 0.0, ""
-    for theta, p in product(GRID_THRESHOLDS, GRID_CHECK_PROBS):
+    for (theta, p), kept, tables in zip(cells, kept_games, np.split(stack, offsets)):
         pool = strategy_pool(theta, p)
         pairs = list(combinations_with_replacement(pool, 2))
         for a, b in pairs:
             if (a, b) not in priced:
                 counts = expected_outcomes(a, b, max(GRID_ROUNDS))
                 priced[a, b] = (counts[rounds - 1] @ prices[:, :, None])[..., 0] / rounds[:, None]
-        kept = [g for g, (r, _, _) in enumerate(grid) if r > theta]
         exact = np.array([priced[pair][kept] for pair in pairs])
-        tables = payoff_tables([s.kind for s in pool], *terms[kept].T, theta, np.full(len(kept), p))
         rows, cols = np.triu_indices(len(pool))  # the pairs' pool indices, in order
         analytic = tables[:, [rows, cols], [cols, rows]].transpose(2, 0, 1)  # as exact
         ratio = _tolerance_ratio(analytic, exact, TOLERANCE)

@@ -301,11 +301,21 @@ class TestExpectedOutcomes:
         pairs per theta and 5 TUC pairs per (theta, p): 6 + 16 + 100 = 122.
         Each walk steps each joint behaviour state once, two actions a step:
         1,756 steps over the 122 walks, where stepping every state every
-        round took 6,631."""
+        round took 6,631.  86 walks end at a frontier that a round leaves
+        unchanged, by round 12: 2,275 rounds walked, not 122 * 50 = 6,100.
+        The 36 that run all 50 rounds are ALLD v TUC or TUD, whose trust
+        level falls every round, and TUC v TUD with 0 < p < 1, whose
+        uncaught mass decays."""
         import trustevo.verification as verification
 
         calls = []
         actions = []
+        walked = []
+        walk = match_sim._walk
+
+        def counted_walk(*args, **kwargs):
+            walked.append(walk(*args, **kwargs))
+            return walked[-1]
 
         def counted(*args):
             calls.append(args)
@@ -317,10 +327,13 @@ class TestExpectedOutcomes:
 
         monkeypatch.setattr(verification, "expected_outcomes", counted)
         monkeypatch.setattr(match_sim, "next_action", counted_action)
+        monkeypatch.setattr(match_sim, "_walk", counted_walk)
         report = run_oracle_verification()
         assert len(calls) == 122
         assert len({(a, b) for a, b, _ in calls}) == 122
         assert len(actions) == 3512
+        assert sum(walked) == 2275
+        assert sum(n < 50 for n in walked) == 86 and max(n for n in walked if n < 50) == 12
         assert report.comparisons == 17550 and report.ok
 
 
@@ -368,16 +381,16 @@ def _scalar_verification(tolerance=1e-10):
 
 
 def _nan_in_tables(row, col, game):
-    """``payoff_tables`` with the (row, col) entry of ``game`` set to NaN in
-    the call for the pair's (theta, p) cell."""
+    """``payoff_tables`` with the (row, col) entry of ``game`` set to NaN at
+    the stack row of ``game`` in the pair's (theta, p) cell."""
     from trustevo.payoffs import payoff_tables
 
     def tables(kinds, t, r, p, s, n, eps, theta, check):
         values = payoff_tables(kinds, t, r, p, s, n, eps, theta, check)
-        if (theta, check[0]) == (row.trust_threshold, col.check_prob):
-            point = (*game.scaled_payoffs(), game.expected_rounds, game.check_cost)
-            at = np.all(np.transpose([t, r, p, s, n, eps]) == point, axis=1)
-            values[at, kinds.index(row.kind), kinds.index(col.kind)] = math.nan
+        point = (*game.scaled_payoffs(), game.expected_rounds, game.check_cost)
+        cell = (row.trust_threshold, col.check_prob)
+        at = np.all(np.transpose([t, r, p, s, n, eps, theta, check]) == (*point, *cell), axis=1)
+        values[at, kinds.index(row.kind), kinds.index(col.kind)] = math.nan
         return values
 
     return tables
@@ -611,11 +624,11 @@ class TestAgainstScalarReference:
         assert (mc.mean_a, mc.mean_b, mc.stderr_a, mc.stderr_b) == expected
 
 
-def _stepwise_walk(spec_a, spec_b, rounds, mass, split, record):
+def _stepwise_walk(spec_a, spec_b, rounds, mass, split, record, settle=False):
     """Reference walk without a memo: every round steps every joint state
     through the behaviour machines, and successors merge on a key that also
     keeps a tit-for-tat level and tells an unobserved opponent from one seen
-    to cooperate."""
+    to cooperate.  It walks every round, ``settle`` or not."""
     results = {(C, C): 1, (C, D): 3, (D, C): 0, (D, D): 2}
 
     def side(spec, state, action, opponent_action):
@@ -656,6 +669,7 @@ def _stepwise_walk(spec_a, spec_b, rounds, mass, split, record):
         if len(successors) > match_sim._STATE_LIMIT:
             raise StateSpaceError("joint state budget exceeded")
         frontier = successors.values()
+    return rounds
 
 
 class TestMemoisedWalk:
@@ -674,6 +688,8 @@ class TestMemoisedWalk:
     )
     @example(10, 5e-324, (3, 4), 60, CostConvention.DETECTION_FREE, 0)
     @example(1, 0.5, (3, 3), 60, CostConvention.EVERY_CHECK, 1)
+    @example(3, 0.1, (3, 2), 2000, CostConvention.DETECTION_FREE, 2)  # TUC v TFT settles
+    @example(3, 0.25, (3, 4), 2000, CostConvention.EVERY_CHECK, 3)  # TUC v TUD never does
     def test_equals_the_stepwise_walk(self, theta, prob, pair, rounds, convention, seed):
         pool = strategy_pool(theta, prob)
         a, b = pool[pair[0]], pool[pair[1]]
@@ -694,7 +710,8 @@ class TestMemoisedWalk:
 
 class TestLongMatchBlocks:
     """Matches over 512 rounds take fewer samples per lockstep block, so
-    the draws held at once stay within ``_BLOCK * 512`` rounds."""
+    the draws held at once stay within ``_BLOCK * 512`` rounds for matches
+    up to that many rounds, where a block is down to one sample."""
 
     @pytest.mark.parametrize("convention", list(CostConvention))
     def test_multi_block_long_match_equals_one_sample_blocks(self, monkeypatch, convention):

@@ -780,9 +780,9 @@ class TestCliVerify:
 
         def nan_at_one_entry(kinds, t, r, p, s, n, eps, theta, check):
             values = payoff_tables(kinds, t, r, p, s, n, eps, theta, check)
-            if (theta, check[0]) == (3, 0.1):
-                at = np.all(np.transpose([t, r, p, s, n, eps]) == point, axis=1)
-                values[at, kinds.index(tuc(3, 0.1).kind), kinds.index(tud(3).kind)] = math.nan
+            rows = np.transpose([t, r, p, s, n, eps, theta, check])
+            at = np.all(rows == (*point, 3, 0.1), axis=1)  # theta=3, p=0.1
+            values[at, kinds.index(tuc(3, 0.1).kind), kinds.index(tud(3).kind)] = math.nan
             return values
 
         monkeypatch.setattr(verification, "payoff_tables", nan_at_one_entry)
