@@ -24,6 +24,7 @@ bit on one platform and numpy version, not across platforms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -121,39 +122,65 @@ def _check_table(values: np.ndarray, n: int, **indices: int) -> None:
         )
 
 
-def fixation_matrix(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
-    """Entry (..., i, j): probability that one j-mutant takes over i-residents,
-    for one payoff table or a ``(..., s, s)`` stack of them.
+@functools.cache
+def _pair_index(size: int) -> np.ndarray:
+    """Flat indices, ``(pairs, 4)``, of the sub-table (pi_rr, pi_rm, pi_mr,
+    pi_mm) of each pair r < m of a ``size``-strategy table, in row-major order."""
+    r, m = np.triu_indices(size, 1)
+    return np.stack([r, r, m, m], axis=-1) * size + np.stack([r, m, r, m], axis=-1)
 
-    Follows ``group_payoffs`` operation for operation, once per pair r < m:
-    r-mutants at N - k among m-residents multiply the same operands (N - k and
+
+def pair_tables(values: np.ndarray, n: int) -> np.ndarray:
+    """The ``(..., pairs, 4)`` pair sub-tables of a payoff table or ``(..., s,
+    s)`` stack, after checking it for fixation sums at population ``n``."""
+    _check_table(values, n)
+    flat = values.reshape(*values.shape[:-2], -1)
+    return np.take(flat, _pair_index(values.shape[-1]), axis=-1)
+
+
+def pair_fixation(pairs: np.ndarray, params: EvolutionParams) -> np.ndarray:
+    """``(..., 2)``: probability that one m-mutant takes over r-residents, then
+    that one r-mutant takes over m-residents, for each sub-table of ``pairs``.
+
+    Follows ``group_payoffs`` operation for operation: r-mutants at N - k
+    among m-residents multiply the same operands as m-mutants at k (N - k and
     k - 1 are exact), so their advantage is m's negated and reversed, bit for
-    bit.  The diagonal is the neutral 1/N.
+    bit, and one series serves both directions.
     """
     n = params.population_size
-    _check_table(values, n)
-    strategies = np.arange(values.shape[-1])
-    r, m = np.nonzero(strategies[:, None] < strategies)
     k = np.arange(1, n, dtype=float)
-    own = np.diagonal(values, axis1=-2, axis2=-1)
-    # Axis -2 is the pair (r, m), axis -1 the count k of m-mutants.
-    advantage = np.multiply(values[..., m, r, None], n - k)
-    advantage += (k - 1) * own[..., m, None]
+    own_r, v_rm, v_mr, own_m = (pairs[..., i, None] for i in range(4))
+    # Axis -2 holds m invading r, then r invading m; axis -1 the count k of m-mutants.
+    args = np.empty((*pairs.shape[:-1], 2, n - 1))
+    advantage = np.multiply(v_mr, n - k, out=args[..., 0, :])
+    advantage += (k - 1) * own_m
     advantage /= n - 1
-    resident = np.multiply(values[..., r, m, None], k)
-    resident += (n - k - 1) * own[..., r, None]
+    resident = np.multiply(v_rm, k)
+    resident += (n - k - 1) * own_r
     resident /= n - 1
     advantage -= resident
-    # Rows of m invading r, then of r invading m.
-    args = np.concatenate([advantage, -advantage[..., ::-1]], axis=-2)
+    np.negative(advantage[..., ::-1], out=args[..., 1, :])
     np.add.accumulate(args, axis=-1, out=args)
     # Beyond the float range beta * sum is +-inf, whose limits are exact.
     with np.errstate(over="ignore"):
         args *= -params.selection_strength
-        rho = _fixation_sums(args)
-    fixation = np.full(values.shape, 1.0 / n)
-    fixation[..., r, m], fixation[..., m, r] = rho[..., : len(r)], rho[..., len(r) :]
-    return fixation
+        return _fixation_sums(args)
+
+
+def fixation_from_pairs(rho: np.ndarray, size: int, n: int) -> np.ndarray:
+    """``pair_fixation``'s ``(..., pairs, 2)`` results as ``(..., size, size)``
+    fixation matrices, whose diagonal is the neutral 1/N."""
+    fixation = np.full((*rho.shape[:-2], size * size), 1.0 / n)
+    fixation[..., _pair_index(size)[:, 1:3]] = rho  # the (r, m) and (m, r) entries
+    return fixation.reshape(*rho.shape[:-2], size, size)
+
+
+def fixation_matrix(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
+    """Entry (..., i, j): probability that one j-mutant takes over i-residents,
+    for one payoff table or a ``(..., s, s)`` stack of them, each pair through
+    ``pair_fixation``; the diagonal is the neutral 1/N."""
+    rho = pair_fixation(pair_tables(values, params.population_size), params)
+    return fixation_from_pairs(rho, values.shape[-1], params.population_size)
 
 
 def fixation_probability(

@@ -299,18 +299,21 @@ def expected_outcomes(spec_a: StrategySpec, spec_b: StrategySpec, rounds: int) -
     counts the first ``i + 1`` rounds in which ``player`` (0 for ``spec_a``)
     met ``code``, exact over :func:`play_match`'s draws up to float rounding."""
     require_int("rounds", rounds, 1)
-    counts = [[0.0] * 24 for _ in range(rounds)]
+    rows = []  # each walked round's counts; every round records
 
     def split(i, player, weight, prob, observed):
         return weight * (prob if observed else 1.0 - prob)
 
     def record(i, weight, act_a, act_b, code_a, code_b):
-        counts[i][code_a] += weight
-        counts[i][12 + code_b] += weight
+        if i == len(rows):
+            rows.append([0.0] * 24)
+        rows[i][code_a] += weight
+        rows[i][12 + code_b] += weight
 
     walked = _walk(spec_a, spec_b, rounds, 1.0, split, record, settle=True)
-    counts[walked:] = [counts[walked - 1]] * (rounds - walked)
-    return np.cumsum(np.reshape(counts, (rounds, 2, 12)), axis=0)
+    counts = np.empty((rounds, 24))
+    counts[:walked], counts[walked:] = rows, rows[-1]
+    return np.cumsum(counts.reshape(rounds, 2, 12), axis=0)
 
 
 def exact_expected_payoffs(

@@ -77,13 +77,12 @@ def strategy_pool(trust_threshold: int, check_prob: float) -> tuple[StrategySpec
     return (ALLC, ALLD, TFT, tuc(trust_threshold, check_prob), tud(trust_threshold))
 
 
-def pool_stationaries(values: np.ndarray, params: EvolutionParams) -> list[np.ndarray]:
-    """Stationary vectors of the five- and three-strategy pools for one 5 x 5
-    table or a ``(..., 5, 5)`` stack.  Fixation depends only on the payoffs
-    within a pair, so the classic pool's chain is built from the
+def pool_stationaries(fixation: np.ndarray) -> list[np.ndarray]:
+    """Stationary vectors of the five- and three-strategy pools from one 5 x 5
+    fixation matrix or a ``(..., 5, 5)`` stack.  Fixation depends only on the
+    payoffs within a pair, so the classic pool's chain is built from the
     ALLC/ALLD/TFT block of the five-strategy fixation matrix.
     """
-    fixation = fixation_matrix(values, params)
     return [
         stationary_distribution(chain_from_fixation(fixation[..., :k, :k])).probabilities
         for k in (5, 3)
@@ -100,7 +99,7 @@ def cooperation_report(
     from a table built in floats, as a sweep does over a stack of tables."""
     full = strategy_pool(trust_threshold, check_prob)
     matrix = payoff_matrix(full, game)
-    pi_with, pi_without = pool_stationaries(matrix.values, params)
+    pi_with, pi_without = pool_stationaries(fixation_matrix(matrix.values, params))
     indices = np.array(
         [selfplay_cooperation_index(s, game.expected_rounds) for s in full]
     )

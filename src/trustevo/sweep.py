@@ -3,10 +3,11 @@
 A sweep takes a base parameter set, a list of named axes, and evaluates the
 full pipeline (payoff table, fixation chain, stationary distribution,
 cooperation report) at every grid point, as ``cooperation_report`` does,
-bit for bit.  Consecutive points that share N and beta run as one stack, a
-bounded chunk at a time; a refused point raises naming its axis values, the
-first in grid order.  Grid order is row-major in the listed axis order with
-the last axis varying fastest; nothing is random, so a sweep is
+bit for bit.  Consecutive points that share N and beta run as one stack,
+whose fixation sums take each distinct 2 x 2 pair sub-table once; a refused
+point raises naming its axis values, the first in grid order, found by
+bisecting the stack's prefixes.  Grid order is row-major in the listed axis
+order with the last axis varying fastest; nothing is random, so a sweep is
 byte-identical run to run.
 
 The eleven base parameters are listed once, by INI section, in ``SECTIONS``:
@@ -25,6 +26,7 @@ command line table, and refuses a NaN or infinite number.
 
 from __future__ import annotations
 
+import bisect
 import configparser
 import dataclasses
 import functools
@@ -39,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .evolution import EvolutionParams
+from .evolution import EvolutionParams, fixation_from_pairs, pair_fixation, pair_tables
 from .game_model import GameSpec
 from .metrics import (
     pool_stationaries,
@@ -68,9 +70,9 @@ _OUTPUT_COLUMNS = (
 # count is likelier a typo than a study, and is refused before the axis
 # values or the grid are built.
 _MAX_POINTS = 100_000
-# A chunk's budget of fixation terms, 8 bytes each, at 5 x 5 a point and
-# mutant count: 26 points at N=100, 2 at N=1000.
-_CHUNK_ELEMENTS = 65_536
+# A kernel slice's budget of fixation terms, 8 bytes each, two series of
+# N - 1 terms a distinct pair: 165 pairs (256 kB) at N=100, 16 at N=1000.
+_CHUNK_ELEMENTS = 32_768
 
 
 @dataclass(frozen=True)
@@ -217,17 +219,22 @@ def _grid_points(config: SweepConfig):
         yield {**base, **dict(zip(names, values))}
 
 
-def _chunks(points):
-    """Runs of consecutive points sharing N and beta, each of at most
-    ``_CHUNK_ELEMENTS // (25 (N - 1))`` points; a point sums 20 series."""
-    for (n, _), run in itertools.groupby(points, itemgetter("population", "selection_strength")):
-        run, step = list(run), max(1, _CHUNK_ELEMENTS // (25 * max(int(n) - 1, 1)))
-        yield from (run[i : i + step] for i in range(0, len(run), step))
+def _fixation(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
+    """A run's fixation stack, summing each distinct pair sub-table (matched by
+    its bytes, so +0 and -0 stay apart) once, ``_CHUNK_ELEMENTS`` terms at most
+    at a time: at one N and beta a pair's fixation depends on nothing else."""
+    n = params.population_size
+    pairs = pair_tables(values, n)
+    keys, inverse = np.unique(pairs.view(np.dtype((np.void, 32))).ravel(), return_inverse=True)
+    distinct, step = keys.view(float).reshape(-1, 4), max(1, _CHUNK_ELEMENTS // (2 * (n - 1)))
+    slices = (distinct[i : i + step] for i in range(0, len(distinct), step))
+    rho = np.concatenate([pair_fixation(part, params) for part in slices])
+    return fixation_from_pairs(rho[inverse].reshape(*pairs.shape[:-1], 2), values.shape[-1], n)
 
 
 def _evaluate(points: list[dict], built) -> list[dict]:
-    """Rows of a chunk of points; its tables, chains and solves are stacks.
-    ``built`` holds the sweep's cached game, pool and index-row builders."""
+    """Rows of a run of points sharing N and beta, as one stack of tables,
+    chains and solves.  ``built`` holds the sweep's cached builders."""
     game_of, pool_of, indices_of = built
     indices = []
     for row in points:
@@ -243,7 +250,7 @@ def _evaluate(points: list[dict], built) -> list[dict]:
         *map(column.get, ("expected_rounds", "check_cost", "trust_threshold", "check_prob")),
     )
     params = EvolutionParams(int(points[0]["population"]), points[0]["selection_strength"])
-    freqs, without = pool_stationaries(values, params)
+    freqs, without = pool_stationaries(_fixation(values, params))
     coop_with = population_cooperation(freqs, indices)
     coop_without = population_cooperation(without, indices[:, :3])
     outputs = np.column_stack([freqs, coop_with, coop_without, coop_with - coop_without])
@@ -251,6 +258,15 @@ def _evaluate(points: list[dict], built) -> list[dict]:
     return [
         dict(zip(columns, (*row.values(), *out))) for row, out in zip(points, outputs.tolist())
     ]
+
+
+def _refusal(points: list[dict], built) -> Exception | None:
+    """The error that refuses ``points`` as one stack, or None."""
+    try:
+        _evaluate(points, built)
+    except (ValueError, NumericalError) as exc:
+        return exc
+    return None
 
 
 def run_sweep(config: SweepConfig) -> list[dict]:
@@ -262,16 +278,21 @@ def run_sweep(config: SweepConfig) -> list[dict]:
         return [selfplay_cooperation_index(spec, rounds) for spec in pool_of(theta, check_prob)]
 
     rows, built = [], (functools.cache(GameSpec), pool_of, indices_of)
-    for points in _chunks(_grid_points(config)):
+    for _, run in itertools.groupby(
+        _grid_points(config), itemgetter("population", "selection_strength")
+    ):
+        run = list(run)
         try:
-            rows += _evaluate(points, built)
+            rows += _evaluate(run, built)
         except (ValueError, NumericalError):
-            for point in points:  # the chunk's first point refused on its own
-                try:
-                    _evaluate([point], built)
-                except (ValueError, NumericalError) as exc:
-                    at = ", ".join(f"{name}={point[name]!r}" for name, _ in config.axes)
-                    raise type(exc)(f"{exc} (sweep point {at or 'without axes'})") from None
+            # A stack fails exactly when one of its points fails on its own,
+            # so the shortest failing prefix ends at the first refused point.
+            first = bisect.bisect(
+                range(1, len(run)), False, key=lambda end: bool(_refusal(run[:end], built))
+            )
+            if exc := _refusal([run[first]], built):
+                at = ", ".join(f"{name}={run[first][name]!r}" for name, _ in config.axes)
+                raise type(exc)(f"{exc} (sweep point {at or 'without axes'})") from None
             raise
     return rows
 

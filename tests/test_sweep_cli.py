@@ -191,8 +191,9 @@ class TestSweepEvaluation:
     def test_stacked_rows_equal_single_reports(
         self, populations, betas, costs, probs, order, chunk
     ):
-        """Chunked sweep rows equal per-point ``cooperation_report`` bit for
-        bit, over grids of mixed N that span several chunks."""
+        """Stacked sweep rows equal per-point ``cooperation_report`` bit for
+        bit, over grids of mixed N whose sums span several kernel slices,
+        each within the slice budget."""
         axes = (
             ("population", tuple(populations)),
             ("selection_strength", tuple(betas)),
@@ -200,9 +201,13 @@ class TestSweepEvaluation:
             ("check_prob", tuple(probs)),
         )
         config = SweepConfig(game=GameSpec(expected_rounds=7.5), axes=tuple(axes[i] for i in order))
-        with mock.patch.object(sweep, "_CHUNK_ELEMENTS", chunk):
-            assert len(list(sweep._chunks(sweep._grid_points(config)))) > 1
+        with mock.patch.object(sweep, "_CHUNK_ELEMENTS", chunk), mock.patch.object(
+            sweep, "pair_fixation", wraps=sweep.pair_fixation
+        ) as kernel:
             rows = run_sweep(config)
+        assert kernel.call_count > 1
+        for (pairs, params), _ in kernel.call_args_list:
+            assert len(pairs) <= max(1, chunk // (2 * (params.population_size - 1)))
         for row in rows:
             game = dataclasses.replace(config.game, check_cost=row["param:check_cost"])
             params = EvolutionParams(
@@ -227,6 +232,39 @@ class TestSweepEvaluation:
         ) as pools:
             rows = run_sweep(config)
         assert (len(rows), games.call_count, pools.call_count) == (252, 21, 12)
+
+    @pytest.mark.parametrize(
+        "preset, distinct",
+        [
+            ("fig3", 186),
+            ("fig4", 450),
+            ("fig5", 1036),
+            ("appendix_theta5", 186),
+            ("appendix_theta10", 182),
+        ],
+    )
+    def test_each_distinct_pair_is_summed_once(self, preset, distinct):
+        """The fixation kernel sums each distinct 2 x 2 pair sub-table of a
+        sweep once: fig5's 252 points hold 2,520 pairs but 1,036 sub-tables."""
+        with mock.patch.object(sweep, "pair_fixation", wraps=sweep.pair_fixation) as kernel:
+            run_sweep(preset_config(preset))
+        assert sum(len(call.args[0]) for call in kernel.call_args_list) == distinct
+
+    def test_a_refused_last_point_is_found_by_bisection(self):
+        """Of 2,000 points only the last, a stiff chain at stake 100, is
+        refused: the sweep names it after one whole-run stack, O(log n)
+        prefix stacks and one evaluation of that point alone."""
+        scales = (*np.linspace(0.5, 1.5, 1999).tolist(), 100.0)
+        config = SweepConfig(
+            game=GameSpec(expected_rounds=4), population=100, selection_strength=0.1,
+            axes=(("payoff_scale", scales),),
+        )
+        with mock.patch.object(sweep, "_evaluate", wraps=sweep._evaluate) as evaluate:
+            with pytest.raises(NumericalError, match=r"\(sweep point payoff_scale=100\.0\)$"):
+                run_sweep(config)
+        sizes = [len(call.args[0]) for call in evaluate.call_args_list]
+        assert sizes.count(1) == 1 and sizes[-1] == 1
+        assert len(sizes) - 1 <= 1 + math.ceil(math.log2(len(scales)))
 
     def test_column_order_is_stable(self):
         rows = run_sweep(preset_config("fig3"))
