@@ -36,6 +36,7 @@ from .errors import NumericalError, ParameterDomainError, first_failure, require
 # Largest exponent fed to exp() before the fixation sum switches to its
 # log-space evaluation; exp overflows near 709.
 _EXP_GUARD = 700.0
+_eye = functools.cache(np.eye)  # read only: a solve subtracts it
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,20 @@ def group_payoffs(
     """
     if not 1 <= k <= n - 1:
         raise ParameterDomainError(f"k must lie in [1, {n - 1}], got {k}")
-    pi_a = ((k - 1) * values[a, a] + (n - k) * values[a, b]) / (n - 1)
-    pi_b = (k * values[b, a] + (n - k - 1) * values[b, b]) / (n - 1)
+    if require_int("a", a, 0) >= len(values) or require_int("b", b, 0) >= len(values):
+        raise ParameterDomainError(f"a and b must be below {len(values)}, got {a} and {b}")
+    aa, ab, ba, bb = values[a, a], values[a, b], values[b, a], values[b, b]
+    if not (math.isfinite(aa) and math.isfinite(ab) and math.isfinite(ba) and math.isfinite(bb)):
+        raise NumericalError("payoff table holds a non-finite entry")
+    pi_a = ((k - 1) * aa + (n - k) * ab) / (n - 1)
+    pi_b = (k * ba + (n - k - 1) * bb) / (n - 1)
     return float(pi_a), float(pi_b)
 
 
 def fermi_probability(payoff_diff: float, beta: float) -> float:
     """Probability of imitating a role model whose payoff is higher by diff."""
+    if not (math.isfinite(payoff_diff) and 0 <= beta < np.inf):
+        raise ParameterDomainError(f"need a finite diff and beta >= 0, got {payoff_diff}, {beta}")
     x = beta * payoff_diff
     if x >= 0:
         return float(1.0 / (1.0 + np.exp(-x)))
@@ -89,8 +97,11 @@ def fermi_probability(payoff_diff: float, beta: float) -> float:
 
 
 def _fixation_sums(args: np.ndarray) -> np.ndarray:
-    """``1 / (1 + sum(exp(args)))`` along the last axis; overwrites ``args``.
-    A +inf peak is not shifted away (inf - inf is NaN): its entry is 0."""
+    """``1 / (1 + sum(exp(args)))`` along the last axis; overwrites ``args``.  Rows peaking at
+    ``_EXP_GUARD`` or above, looked for only when the whole stack does, are shifted by their
+    peak and finished in log space; a +inf peak is not (inf - inf is NaN): its entry is 0."""
+    if args.max() < _EXP_GUARD:  # a NaN fails this and takes the per-row branch
+        return 1.0 / (1.0 + np.exp(args, out=args).sum(axis=-1))
     peak = args.max(axis=-1)
     logged = peak >= _EXP_GUARD
     if logged.any():  # elsewhere the shift is 0.0, which changes nothing
@@ -151,14 +162,15 @@ def pair_fixation(pairs: np.ndarray, params: EvolutionParams) -> np.ndarray:
     k = np.arange(1, n, dtype=float)
     own_r, v_rm, v_mr, own_m = (pairs[..., i, None] for i in range(4))
     # Axis -2 holds m invading r, then r invading m; axis -1 the count k of m-mutants.
-    args = np.empty((*pairs.shape[:-1], 2, n - 1))
-    advantage = np.multiply(v_mr, n - k, out=args[..., 0, :])
+    advantage = np.multiply(v_mr, n - k)  # contiguous, so each pass runs at full speed
     advantage += (k - 1) * own_m
     advantage /= n - 1
     resident = np.multiply(v_rm, k)
     resident += (n - k - 1) * own_r
     resident /= n - 1
     advantage -= resident
+    args = np.empty((*pairs.shape[:-1], 2, n - 1))
+    args[..., 0, :] = advantage
     np.negative(advantage[..., ::-1], out=args[..., 1, :])
     np.add.accumulate(args, axis=-1, out=args)
     # Beyond the float range beta * sum is +-inf, whose limits are exact.
@@ -246,7 +258,7 @@ def stationary_distribution(
                 f"got {len(labels)} labels for a {size}-state chain"
             )
 
-    system = transition.swapaxes(-1, -2) - np.eye(size)
+    system = transition.swapaxes(-1, -2) - _eye(size)
     system[..., -1, :] = 1.0
     rhs = np.zeros(system.shape[:-1] + (1,))  # (..., s, 1): numpy 1 and 2 read one column a chain
     rhs[..., -1, :] = 1.0

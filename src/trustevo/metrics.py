@@ -20,7 +20,7 @@ from .evolution import (
     stationary_distribution,
 )
 from .game_model import GameSpec
-from .payoffs import payoff_matrix
+from .payoffs import payoff_tables
 from .strategies import ALLC, ALLD, TFT, StrategyKind, StrategySpec, tuc, tud
 
 
@@ -98,20 +98,19 @@ def cooperation_report(
     """Compare the classic three-strategy pool against the five-strategy one,
     from a table built in floats, as a sweep does over a stack of tables."""
     full = strategy_pool(trust_threshold, check_prob)
-    matrix = payoff_matrix(full, game)
-    pi_with, pi_without = pool_stationaries(fixation_matrix(matrix.values, params))
-    indices = np.array(
-        [selfplay_cooperation_index(s, game.expected_rounds) for s in full]
+    labels = tuple(s.label for s in full)
+    indices = [selfplay_cooperation_index(s, game.expected_rounds) for s in full]
+    values = payoff_tables(
+        [s.kind for s in full], *game.scaled_payoffs(), game.expected_rounds,
+        game.check_cost, trust_threshold, check_prob,
     )
-    coop_with = population_cooperation(pi_with, indices)
-    coop_without = population_cooperation(pi_without, indices[:3])
+    pi_with, pi_without = pool_stationaries(fixation_matrix(values, params))
+    coop_with, coop_without = float(pi_with @ indices), float(pi_without @ indices[:3])
     return CooperationReport(
         with_trust=coop_with,
         without_trust=coop_without,
         delta=coop_with - coop_without,
-        stationary_with=StationaryDistribution(matrix.labels, pi_with),
-        stationary_without=StationaryDistribution(matrix.labels[:3], pi_without),
-        selfplay_indices={
-            s.label: float(x) for s, x in zip(full, indices)
-        },
+        stationary_with=StationaryDistribution(labels, pi_with),
+        stationary_without=StationaryDistribution(labels[:3], pi_without),
+        selfplay_indices=dict(zip(labels, indices)),
     )

@@ -164,7 +164,8 @@ def payoff_tables(kinds: Sequence[StrategyKind], t, r, p, s, n, eps, theta, chec
         rows = [
             [_closed_form(kr, kc, t, r, p, s, n, eps, theta, check) for kc in kinds] for kr in kinds
         ]
-    values = np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+    values = np.array(rows)
+    values = np.moveaxis(values, (0, 1), (-2, -1)) if values.ndim > 2 else values
     finite = np.isfinite(values)
     if not finite.all():
         at, where = first_failure(~finite.all(axis=(-2, -1)))

@@ -3,10 +3,10 @@
 A sweep takes a base parameter set, a list of named axes, and evaluates the
 full pipeline (payoff table, fixation chain, stationary distribution,
 cooperation report) at every grid point, as ``cooperation_report`` does,
-bit for bit.  Consecutive points that share N and beta run as one stack,
-whose fixation sums take each distinct 2 x 2 pair sub-table once; a refused
-point raises naming its axis values, the first in grid order, found by
-bisecting the stack's prefixes.  Grid order is row-major in the listed axis
+bit for bit.  Consecutive points that share N and beta run as stacks of up
+to ``_STACK_POINTS``, whose fixation sums take each distinct 2 x 2 pair
+sub-table once; a refused point raises naming its axis values, the first in
+grid order, found by bisecting the stack's prefixes.  Grid order is row-major in the listed axis
 order with the last axis varying fastest; nothing is random, so a sweep is
 byte-identical run to run.
 
@@ -70,6 +70,9 @@ _OUTPUT_COLUMNS = (
 # count is likelier a typo than a study, and is refused before the axis
 # values or the grid are built.
 _MAX_POINTS = 100_000
+# Most points one stack holds, which bounds its tables, solves and byte match
+# (some 3 kB a point at N=100); the presets' longest run is 252 points.
+_STACK_POINTS = 4096
 # A kernel slice's budget of fixation terms, 8 bytes each, two series of
 # N - 1 terms a distinct pair: 165 pairs (256 kB) at N=100, 16 at N=1000.
 _CHUNK_ELEMENTS = 32_768
@@ -232,9 +235,9 @@ def _fixation(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
     return fixation_from_pairs(rho[inverse].reshape(*pairs.shape[:-1], 2), values.shape[-1], n)
 
 
-def _evaluate(points: list[dict], built) -> list[dict]:
-    """Rows of a run of points sharing N and beta, as one stack of tables,
-    chains and solves.  ``built`` holds the sweep's cached builders."""
+def _stationaries(points: list[dict], built) -> tuple[np.ndarray, ...]:
+    """Self-play indices and both pools' stationary vectors of points sharing N and beta, one
+    stack each: every step that can refuse a point.  ``built`` holds the cached builders."""
     game_of, pool_of, indices_of = built
     indices = []
     for row in points:
@@ -250,7 +253,12 @@ def _evaluate(points: list[dict], built) -> list[dict]:
         *map(column.get, ("expected_rounds", "check_cost", "trust_threshold", "check_prob")),
     )
     params = EvolutionParams(int(points[0]["population"]), points[0]["selection_strength"])
-    freqs, without = pool_stationaries(_fixation(values, params))
+    return (indices, *pool_stationaries(_fixation(values, params)))
+
+
+def _evaluate(points: list[dict], built) -> list[dict]:
+    """Rows of points sharing N and beta, from ``_stationaries``."""
+    indices, freqs, without = _stationaries(points, built)
     coop_with = population_cooperation(freqs, indices)
     coop_without = population_cooperation(without, indices[:, :3])
     outputs = np.column_stack([freqs, coop_with, coop_without, coop_with - coop_without])
@@ -263,7 +271,7 @@ def _evaluate(points: list[dict], built) -> list[dict]:
 def _refusal(points: list[dict], built) -> Exception | None:
     """The error that refuses ``points`` as one stack, or None."""
     try:
-        _evaluate(points, built)
+        _stationaries(points, built)
     except (ValueError, NumericalError) as exc:
         return exc
     return None
@@ -278,22 +286,22 @@ def run_sweep(config: SweepConfig) -> list[dict]:
         return [selfplay_cooperation_index(spec, rounds) for spec in pool_of(theta, check_prob)]
 
     rows, built = [], (functools.cache(GameSpec), pool_of, indices_of)
-    for _, run in itertools.groupby(
+    for _, points in itertools.groupby(
         _grid_points(config), itemgetter("population", "selection_strength")
     ):
-        run = list(run)
-        try:
-            rows += _evaluate(run, built)
-        except (ValueError, NumericalError):
-            # A stack fails exactly when one of its points fails on its own,
-            # so the shortest failing prefix ends at the first refused point.
-            first = bisect.bisect(
-                range(1, len(run)), False, key=lambda end: bool(_refusal(run[:end], built))
-            )
-            if exc := _refusal([run[first]], built):
-                at = ", ".join(f"{name}={run[first][name]!r}" for name, _ in config.axes)
-                raise type(exc)(f"{exc} (sweep point {at or 'without axes'})") from None
-            raise
+        while run := list(itertools.islice(points, _STACK_POINTS)):
+            try:
+                rows += _evaluate(run, built)
+            except (ValueError, NumericalError):
+                # A stack fails exactly when one of its points fails on its own,
+                # so the shortest failing prefix ends at the first refused point.
+                first = bisect.bisect(
+                    range(1, len(run)), False, key=lambda end: bool(_refusal(run[:end], built))
+                )
+                if exc := _refusal([run[first]], built):
+                    at = ", ".join(f"{name}={run[first][name]!r}" for name, _ in config.axes)
+                    raise type(exc)(f"{exc} (sweep point {at or 'without axes'})") from None
+                raise
     return rows
 
 

@@ -176,6 +176,15 @@ class TestFermi:
         assert type(fermi_probability(1.0, 0.5)) is float
         assert type(fermi_probability(-1.0, 0.5)) is float
 
+    @pytest.mark.parametrize(
+        "diff, beta",
+        [(math.nan, 0.1), (math.inf, 0.0), (-math.inf, 0.1), (1.0, -1.0), (1.0, math.nan),
+         (1.0, math.inf)],
+    )
+    def test_a_non_finite_difference_or_a_bad_beta_is_refused(self, diff, beta):
+        with pytest.raises(ParameterDomainError, match="finite diff and beta >= 0"):
+            fermi_probability(diff, beta)
+
     @given(
         diff=st.floats(min_value=-1e3, max_value=1e3),
         beta=st.floats(min_value=0.0, max_value=10.0),
@@ -210,6 +219,22 @@ class TestGroupPayoffs:
             group_payoffs(self.VALUES, 0, 1, k=0, n=100)
         with pytest.raises(ParameterDomainError):
             group_payoffs(self.VALUES, 0, 1, k=100, n=100)
+
+    @pytest.mark.parametrize("a, b", [(-1, 0), (0, 2), (0, 5), (True, 0), (0, 1.0)])
+    def test_an_index_outside_the_table_is_refused(self, a, b):
+        with pytest.raises(ParameterDomainError, match="must be"):
+            group_payoffs(self.VALUES, a, b, k=1, n=100)
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_a_non_finite_entry_read_is_refused(self, row, col):
+        values = self.VALUES.copy()
+        values[row, col] = math.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            group_payoffs(values, 0, 1, k=1, n=100)
+
+    def test_entries_it_does_not_read_are_not_checked(self):
+        values = np.array([[1.0, -1.0, math.nan], [2.0, 0.0, math.inf], [math.nan] * 3])
+        assert group_payoffs(values, 0, 1, k=1, n=100) == group_payoffs(self.VALUES, 0, 1, 1, 100)
 
 
 class TestFixationProbability:
@@ -499,6 +524,109 @@ class TestStacks:
         with pytest.raises(error, match=message) as alone:
             stationary_distribution(bad)
         assert "stack index" not in str(alone.value)
+
+
+def _frozen_fixation_sums(args: np.ndarray) -> np.ndarray:
+    """``1 / (1 + sum(exp(args)))`` along the last axis; overwrites ``args``.
+    A +inf peak is not shifted away (inf - inf is NaN): its entry is 0."""
+    peak = args.max(axis=-1)
+    logged = peak >= evolution._EXP_GUARD
+    if logged.any():  # elsewhere the shift is 0.0, which changes nothing
+        args -= np.where(logged & (peak < np.inf), peak, 0.0)[..., None]
+    sums = np.exp(args, out=args).sum(axis=-1)
+    rho = 1.0 / (1.0 + sums)
+    rho[logged] = np.exp(-np.logaddexp(0.0, peak[logged] + np.log(sums[logged])))
+    return rho
+
+
+def _frozen_pair_fixation(pairs: np.ndarray, params: EvolutionParams) -> np.ndarray:
+    """The fixation kernel as it was before its advantage left the strided
+    half of ``args`` and its sums gained the whole-stack guard test, kept
+    verbatim as the byte reference of the kernel."""
+    n = params.population_size
+    k = np.arange(1, n, dtype=float)
+    own_r, v_rm, v_mr, own_m = (pairs[..., i, None] for i in range(4))
+    # Axis -2 holds m invading r, then r invading m; axis -1 the count k of m-mutants.
+    args = np.empty((*pairs.shape[:-1], 2, n - 1))
+    advantage = np.multiply(v_mr, n - k, out=args[..., 0, :])
+    advantage += (k - 1) * own_m
+    advantage /= n - 1
+    resident = np.multiply(v_rm, k)
+    resident += (n - k - 1) * own_r
+    resident /= n - 1
+    advantage -= resident
+    np.negative(advantage[..., ::-1], out=args[..., 1, :])
+    np.add.accumulate(args, axis=-1, out=args)
+    # Beyond the float range beta * sum is +-inf, whose limits are exact.
+    with np.errstate(over="ignore"):
+        args *= -params.selection_strength
+        return _frozen_fixation_sums(args)
+
+
+def _unit_peak(pairs: np.ndarray, n: int) -> float:
+    """Largest exponent of a stack of pair sub-tables at beta = 1, near enough
+    to aim a stack's peak at the log-space guard."""
+    k = np.arange(1, n)
+    own_r, v_rm, v_mr, own_m = (pairs[..., i, None] for i in range(4))
+    advantage = (v_mr * (n - k) + (k - 1) * own_m - v_rm * k - (n - k - 1) * own_r) / (n - 1)
+    return float(max((-np.cumsum(advantage, -1)).max(), np.cumsum(advantage[..., ::-1], -1).max()))
+
+
+# Exponents either side of the log-space guard, the float limit and the infinities.
+EDGE_EXPONENTS = st.sampled_from(
+    [699.0, np.nextafter(700.0, 0.0), 700.0, np.nextafter(700.0, np.inf), 709.0, 750.0,
+     1e308, np.inf, -np.inf, -1e308, 0.0]
+)
+
+
+class TestKernelBytes:
+    """``pair_fixation`` and ``_fixation_sums`` equal their frozen copies byte
+    for byte: the contiguous advantage and the whole-stack guard test change
+    only the memory layout and which calls run, not one operation's bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pairs=st.tuples(st.sampled_from(((), (2, 3))), st.integers(1, 6)).flatmap(
+            lambda shape: arrays(
+                np.float64, (*shape[0], shape[1], 4),
+                elements=st.floats(-3.0, 3.0) | st.floats(-1e9, 1e9) | st.sampled_from([-1e9, 1e9]),
+            )
+        ),
+        n=st.sampled_from([2, 3, 10, 100, 1000]),
+        beta=st.sampled_from([0.0, 1e300]) | st.floats(-6.0, 300.0).map(lambda e: 10.0**e),
+        aim=st.none() | st.floats(690.0, 710.0) | EDGE_EXPONENTS,
+    )
+    def test_pair_fixation_bytes_equal_the_frozen_kernel(self, pairs, n, beta, aim):
+        """``aim`` sets beta so that the stack's largest exponent lands there:
+        rows peak just below the guard, at it or beyond it; at +inf, beta is
+        1e300 and entries of 1e9 overflow to +-inf."""
+        peak = _unit_peak(pairs, n)
+        if aim == np.inf:
+            beta = 1e300
+        elif aim is not None and 0.0 < peak and 0.0 < aim:
+            beta = min(aim / peak, 1e300)
+        params = EvolutionParams(n, beta)
+        expected = _frozen_pair_fixation(pairs.copy(), params)
+        got = evolution.pair_fixation(pairs.copy(), params)
+        assert got.shape == expected.shape == (*pairs.shape[:-1], 2)
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        args=st.tuples(st.sampled_from(((3,), (2, 3, 2))), st.integers(1, 12)).flatmap(
+            lambda shape: arrays(
+                np.float64, (*shape[0], shape[1]),
+                elements=st.floats(-800.0, 699.0) | EDGE_EXPONENTS,
+            )
+        ),
+    )
+    def test_fixation_sums_bytes_equal_the_frozen_sums(self, args):
+        """Stacks mixing rows that peak below the guard, at or above it, and
+        at +-inf, straight into the sums."""
+        with np.errstate(over="ignore"):  # as in pair_fixation: a +inf peak is not shifted
+            expected = _frozen_fixation_sums(args.copy())
+            got = evolution._fixation_sums(args.copy())
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestStationaryDistribution:

@@ -259,12 +259,28 @@ class TestSweepEvaluation:
             game=GameSpec(expected_rounds=4), population=100, selection_strength=0.1,
             axes=(("payoff_scale", scales),),
         )
-        with mock.patch.object(sweep, "_evaluate", wraps=sweep._evaluate) as evaluate:
+        with mock.patch.object(sweep, "_stationaries", wraps=sweep._stationaries) as evaluate:
             with pytest.raises(NumericalError, match=r"\(sweep point payoff_scale=100\.0\)$"):
                 run_sweep(config)
         sizes = [len(call.args[0]) for call in evaluate.call_args_list]
         assert sizes.count(1) == 1 and sizes[-1] == 1
         assert len(sizes) - 1 <= 1 + math.ceil(math.log2(len(scales)))
+
+    def test_a_long_run_is_stacked_in_bounded_blocks(self):
+        """A 20,000-point run at one N and beta holds at most a block of
+        points' tables, solves and byte match beside its rows: 36 MiB above
+        the rows as one stack, about 11 MiB in blocks of 4,096 points."""
+        import tracemalloc
+
+        config = SweepConfig(axes=(("check_cost", tuple(i / 20_000 for i in range(20_000))),))
+        tracemalloc.start()
+        try:
+            rows = run_sweep(config)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 20_000
+        assert peak - kept < 16 * 2**20
 
     def test_column_order_is_stable(self):
         rows = run_sweep(preset_config("fig3"))
