@@ -13,8 +13,9 @@ Fixation probabilities use the standard birth-death identity: the backward
 to forward rate ratio at k mutants reduces to ``exp(-beta * delta(k))`` with
 ``delta`` the payoff advantage of the mutant, so the fixation probability is
 ``1 / (1 + sum_i exp(-beta * cumsum(delta)_i))``, evaluated for all pairs of
-a payoff table at once, directly when safe (which keeps neutral cases
-exact) and in log space when the exponents are large.
+a payoff table at once, or once for each distinct pair of a stack of tables,
+directly when safe (which keeps neutral cases exact) and in log space when
+the exponents are large.  ``fixation_matrix`` serves a table and a stack alike.
 
 ``simulate_fixation`` is the stochastic check of those probabilities.  Each
 call draws binomials from one PCG64 stream seeded by its ``seed``.  Binomial
@@ -36,6 +37,9 @@ from .errors import NumericalError, ParameterDomainError, first_failure, require
 # Largest exponent fed to exp() before the fixation sum switches to its
 # log-space evaluation; exp overflows near 709.
 _EXP_GUARD = 700.0
+# A kernel slice's budget of fixation terms, 8 bytes each, two series of
+# N - 1 terms a distinct pair: 165 pairs (256 kB) at N=100, 16 at N=1000.
+_CHUNK_ELEMENTS = 32_768
 _eye = functools.cache(np.eye)  # read only: a solve subtracts it
 
 
@@ -141,17 +145,10 @@ def _pair_index(size: int) -> np.ndarray:
     return np.stack([r, r, m, m], axis=-1) * size + np.stack([r, m, r, m], axis=-1)
 
 
-def pair_tables(values: np.ndarray, n: int) -> np.ndarray:
-    """The ``(..., pairs, 4)`` pair sub-tables of a payoff table or ``(..., s,
-    s)`` stack, after checking it for fixation sums at population ``n``."""
-    _check_table(values, n)
-    flat = values.reshape(*values.shape[:-2], -1)
-    return np.take(flat, _pair_index(values.shape[-1]), axis=-1)
-
-
 def pair_fixation(pairs: np.ndarray, params: EvolutionParams) -> np.ndarray:
     """``(..., 2)``: probability that one m-mutant takes over r-residents, then
-    that one r-mutant takes over m-residents, for each sub-table of ``pairs``.
+    that one r-mutant takes over m-residents, for each sub-table (pi_rr, pi_rm,
+    pi_mr, pi_mm) of ``pairs``.
 
     Follows ``group_payoffs`` operation for operation: r-mutants at N - k
     among m-residents multiply the same operands as m-mutants at k (N - k and
@@ -179,20 +176,28 @@ def pair_fixation(pairs: np.ndarray, params: EvolutionParams) -> np.ndarray:
         return _fixation_sums(args)
 
 
-def fixation_from_pairs(rho: np.ndarray, size: int, n: int) -> np.ndarray:
-    """``pair_fixation``'s ``(..., pairs, 2)`` results as ``(..., size, size)``
-    fixation matrices, whose diagonal is the neutral 1/N."""
-    fixation = np.full((*rho.shape[:-2], size * size), 1.0 / n)
-    fixation[..., _pair_index(size)[:, 1:3]] = rho  # the (r, m) and (m, r) entries
-    return fixation.reshape(*rho.shape[:-2], size, size)
-
-
 def fixation_matrix(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
     """Entry (..., i, j): probability that one j-mutant takes over i-residents,
-    for one payoff table or a ``(..., s, s)`` stack of them, each pair through
-    ``pair_fixation``; the diagonal is the neutral 1/N."""
-    rho = pair_fixation(pair_tables(values, params.population_size), params)
-    return fixation_from_pairs(rho, values.shape[-1], params.population_size)
+    for one payoff table or a ``(..., s, s)`` stack, each pair r < m through
+    ``pair_fixation``; the diagonal is the neutral 1/N.  At one N and beta a
+    pair's fixation depends on its sub-table alone, so a stack sums each distinct
+    sub-table (matched by its bytes: +0 and -0 stay apart) once, ``_CHUNK_ELEMENTS``
+    terms at most at a time; one table's few pairs cost less than matching them."""
+    values = np.asarray(values, dtype=float)
+    n = params.population_size
+    _check_table(values, n)
+    size, index = values.shape[-1], _pair_index(values.shape[-1])
+    pairs = np.take(values.reshape(*values.shape[:-2], -1), index, axis=-1)
+    if values.ndim == 2:
+        rho = pair_fixation(pairs, params)
+    else:
+        keys, inverse = np.unique(pairs.view(np.dtype((np.void, 32))).ravel(), return_inverse=True)
+        distinct, step = keys.view(float).reshape(-1, 4), max(1, _CHUNK_ELEMENTS // (2 * (n - 1)))
+        slices = (distinct[i : i + step] for i in range(0, len(distinct), step))
+        rho = np.concatenate([pair_fixation(part, params) for part in slices])[inverse]
+    fixation = np.full((*values.shape[:-2], size * size), 1.0 / n)
+    fixation[..., index[:, 1:3]] = rho.reshape(*pairs.shape[:-1], 2)  # entries (r, m), (m, r)
+    return fixation.reshape(values.shape)
 
 
 def fixation_probability(
@@ -200,8 +205,8 @@ def fixation_probability(
 ) -> float:
     """Probability that a single mutant takes over a resident population."""
     _check_table(values, params.population_size, mutant=mutant, resident=resident)
-    pair = values[np.ix_((resident, mutant), (resident, mutant))]
-    return float(fixation_matrix(pair, params)[0, 1])
+    r, m = resident, mutant
+    return float(pair_fixation(values[(r, r, m, m), (r, m, r, m)], params)[0])
 
 
 def chain_from_fixation(fixation: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 In the small-mutation limit the population sits in one homogeneous state at
 a time, so its long-run cooperation frequency is the stationary-weighted
-average of each strategy's self-play cooperation index.
+average of each strategy's self-play cooperation index.  ``pool_cooperation``
+takes one payoff table, or a stack, through fixation, chain and stationary
+solve to those averages; ``cooperation_report`` and the sweep both call it.
 """
 
 from __future__ import annotations
@@ -77,16 +79,24 @@ def strategy_pool(trust_threshold: int, check_prob: float) -> tuple[StrategySpec
     return (ALLC, ALLD, TFT, tuc(trust_threshold, check_prob), tud(trust_threshold))
 
 
-def pool_stationaries(fixation: np.ndarray) -> list[np.ndarray]:
-    """Stationary vectors of the five- and three-strategy pools from one 5 x 5
-    fixation matrix or a ``(..., 5, 5)`` stack.  Fixation depends only on the
-    payoffs within a pair, so the classic pool's chain is built from the
+def pool_cooperation(values: np.ndarray, indices, params: EvolutionParams) -> tuple:
+    """Stationary vectors of the five- and three-strategy pools, then their
+    cooperation, from one 5 x 5 payoff table and its five self-play indices, or
+    a ``(..., 5, 5)`` stack and ``(..., 5)`` indices.  Fixation depends only on
+    the payoffs within a pair, so the classic pool's chain is built from the
     ALLC/ALLD/TFT block of the five-strategy fixation matrix.
     """
-    return [
+    fixation = fixation_matrix(values, params)
+    indices = np.asarray(indices, dtype=float)
+    pi_with, pi_without = (
         stationary_distribution(chain_from_fixation(fixation[..., :k, :k])).probabilities
         for k in (5, 3)
-    ]
+    )
+    return (
+        pi_with, pi_without,
+        population_cooperation(pi_with, indices),
+        population_cooperation(pi_without, indices[..., :3]),
+    )
 
 
 def cooperation_report(
@@ -104,8 +114,7 @@ def cooperation_report(
         [s.kind for s in full], *game.scaled_payoffs(), game.expected_rounds,
         game.check_cost, trust_threshold, check_prob,
     )
-    pi_with, pi_without = pool_stationaries(fixation_matrix(values, params))
-    coop_with, coop_without = float(pi_with @ indices), float(pi_without @ indices[:3])
+    pi_with, pi_without, coop_with, coop_without = pool_cooperation(values, indices, params)
     return CooperationReport(
         with_trust=coop_with,
         without_trust=coop_without,

@@ -4,11 +4,11 @@ A sweep takes a base parameter set, a list of named axes, and evaluates the
 full pipeline (payoff table, fixation chain, stationary distribution,
 cooperation report) at every grid point, as ``cooperation_report`` does,
 bit for bit.  Consecutive points that share N and beta run as stacks of up
-to ``_STACK_POINTS``, whose fixation sums take each distinct 2 x 2 pair
-sub-table once; a refused point raises naming its axis values, the first in
-grid order, found by bisecting the stack's prefixes.  Grid order is row-major in the listed axis
-order with the last axis varying fastest; nothing is random, so a sweep is
-byte-identical run to run.
+to ``_STACK_POINTS`` through ``pool_cooperation``, the path of a single
+point; a refused point raises naming its axis values, the first in grid
+order, found by bisecting the stack's prefixes.  Grid order is row-major in
+the listed axis order with the last axis varying fastest; nothing is random,
+so a sweep is byte-identical run to run.
 
 The eleven base parameters are listed once, by INI section, in ``SECTIONS``:
 the :class:`GameSpec` fields under ``[game]`` (defaults from ``GameSpec()``),
@@ -41,14 +41,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .evolution import EvolutionParams, fixation_from_pairs, pair_fixation, pair_tables
+from .evolution import EvolutionParams
 from .game_model import GameSpec
-from .metrics import (
-    pool_stationaries,
-    population_cooperation,
-    selfplay_cooperation_index,
-    strategy_pool,
-)
+from .metrics import pool_cooperation, selfplay_cooperation_index, strategy_pool
 from .payoffs import payoff_tables
 
 SECTIONS = {
@@ -65,17 +60,14 @@ _OUTPUT_COLUMNS = (
     *(f"freq_{label}" for label in STRATEGY_ORDER), "coop_with", "coop_without", "coop_delta"
 )
 
-# Most points a sweep grid or one axis may hold: some 12 s of work and 0.3 GB
-# of rows, at 0.12 ms and 3 kB a point (N=100, two x86_64 CPUs).  A larger
-# count is likelier a typo than a study, and is refused before the axis
-# values or the grid are built.
+# Most points a sweep grid or one axis may hold: a one-run grid this size
+# takes about 4 s in ``run_sweep`` and 1 s in ``write_csv``, at some 180 MB
+# peak RSS (N=100, two x86_64 CPUs).  A larger count is likelier a typo than a
+# study, and is refused before the axis values or the grid are built.
 _MAX_POINTS = 100_000
 # Most points one stack holds, which bounds its tables, solves and byte match
 # (some 3 kB a point at N=100); the presets' longest run is 252 points.
 _STACK_POINTS = 4096
-# A kernel slice's budget of fixation terms, 8 bytes each, two series of
-# N - 1 terms a distinct pair: 165 pairs (256 kB) at N=100, 16 at N=1000.
-_CHUNK_ELEMENTS = 32_768
 
 
 @dataclass(frozen=True)
@@ -222,29 +214,15 @@ def _grid_points(config: SweepConfig):
         yield {**base, **dict(zip(names, values))}
 
 
-def _fixation(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
-    """A run's fixation stack, summing each distinct pair sub-table (matched by
-    its bytes, so +0 and -0 stay apart) once, ``_CHUNK_ELEMENTS`` terms at most
-    at a time: at one N and beta a pair's fixation depends on nothing else."""
-    n = params.population_size
-    pairs = pair_tables(values, n)
-    keys, inverse = np.unique(pairs.view(np.dtype((np.void, 32))).ravel(), return_inverse=True)
-    distinct, step = keys.view(float).reshape(-1, 4), max(1, _CHUNK_ELEMENTS // (2 * (n - 1)))
-    slices = (distinct[i : i + step] for i in range(0, len(distinct), step))
-    rho = np.concatenate([pair_fixation(part, params) for part in slices])
-    return fixation_from_pairs(rho[inverse].reshape(*pairs.shape[:-1], 2), values.shape[-1], n)
-
-
 def _stationaries(points: list[dict], built) -> tuple[np.ndarray, ...]:
-    """Self-play indices and both pools' stationary vectors of points sharing N and beta, one
-    stack each: every step that can refuse a point.  ``built`` holds the cached builders."""
+    """Both pools' stationary vectors and cooperation of points sharing N and beta, one stack
+    each: every step that can refuse a point.  ``built`` holds the cached builders."""
     game_of, pool_of, indices_of = built
     indices = []
     for row in points:
         game = game_of(*map(row.__getitem__, _GAME_PARAMS))
         trust = int(row["trust_threshold"]), row["check_prob"]
         indices.append(indices_of(*trust, game.expected_rounds))
-    indices = np.array(indices)
     column = {name: np.array([row[name] for row in points], dtype=float) for name in points[0]}
     scale = column["payoff_scale"]
     values = payoff_tables(
@@ -253,14 +231,12 @@ def _stationaries(points: list[dict], built) -> tuple[np.ndarray, ...]:
         *map(column.get, ("expected_rounds", "check_cost", "trust_threshold", "check_prob")),
     )
     params = EvolutionParams(int(points[0]["population"]), points[0]["selection_strength"])
-    return (indices, *pool_stationaries(_fixation(values, params)))
+    return pool_cooperation(values, indices, params)
 
 
 def _evaluate(points: list[dict], built) -> list[dict]:
     """Rows of points sharing N and beta, from ``_stationaries``."""
-    indices, freqs, without = _stationaries(points, built)
-    coop_with = population_cooperation(freqs, indices)
-    coop_without = population_cooperation(without, indices[:, :3])
+    freqs, _, coop_with, coop_without = _stationaries(points, built)
     outputs = np.column_stack([freqs, coop_with, coop_without, coop_with - coop_without])
     columns = (*(f"param:{name}" for name in points[0]), *_OUTPUT_COLUMNS)
     return [

@@ -4,6 +4,7 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -493,9 +494,47 @@ class TestStacks:
         fixation = evolution.fixation_matrix(tables, params)
         stacked = stationary_distribution(evolution.chain_from_fixation(fixation))
         for at in np.ndindex(tables.shape[:-2]):
-            assert np.array_equal(evolution.fixation_matrix(tables[at], params), fixation[at])
+            assert evolution.fixation_matrix(tables[at], params).tobytes() == fixation[at].tobytes()
             alone = stationary_distribution(markov_transition_matrix(tables[at], params))
-            assert np.array_equal(alone.probabilities, stacked.probabilities[at])
+            assert alone.probabilities.tobytes() == stacked.probabilities[at].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tables=arrays(np.float64, (3, 4, 4), elements=st.sampled_from((0.0, -0.0, 1.0, -2.5))),
+        picks=st.lists(st.integers(0, 2), min_size=1, max_size=8),
+        n=POPULATIONS,
+        unit=UNIT,
+        chunk=st.integers(1, 400),
+    )
+    def test_a_stack_sums_each_distinct_pair_once(self, tables, picks, n, unit, chunk):
+        """A stack that repeats tables and holds +0 and -0 sums each distinct
+        sub-table (+0 and -0 apart) once, in slices of at most ``chunk`` terms,
+        and equals the single-table calls byte for byte."""
+        stack = tables[picks]
+        params = EvolutionParams(n, capped_beta(unit, n, stack))
+        with mock.patch.object(evolution, "_CHUNK_ELEMENTS", chunk), mock.patch.object(
+            evolution, "pair_fixation", wraps=evolution.pair_fixation
+        ) as kernel:
+            fixation = evolution.fixation_matrix(stack, params)
+        for table, got in zip(stack, fixation):
+            assert got.tobytes() == evolution.fixation_matrix(table, params).tobytes()
+        distinct = {
+            table[np.ix_((r, m), (r, m))].tobytes()
+            for table in stack for r, m in itertools.combinations(range(4), 2)
+        }
+        sizes = [len(call.args[0]) for call in kernel.call_args_list]
+        assert sum(sizes) == len(distinct)
+        assert max(sizes) <= max(1, chunk // (2 * (n - 1)))
+
+    @pytest.mark.parametrize(
+        "convert", [np.ndarray.tolist, lambda a: a.astype(np.int64), lambda a: a.astype(np.float32)]
+    )
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_a_list_or_other_dtype_gives_the_float64_bytes(self, convert, stacked):
+        table = np.array([[3.0, 0.0, 3.0], [5.0, 1.0, 1.0], [3.0, -1.0, 3.0]])
+        values = np.stack([table, table.T, table]) if stacked else table
+        expected = evolution.fixation_matrix(values, DEFAULT_PARAMS).tobytes()
+        assert evolution.fixation_matrix(convert(values), DEFAULT_PARAMS).tobytes() == expected
 
     def test_a_bad_table_is_named_by_its_index(self):
         stack = np.stack([DEFAULT_VALUES] * 3)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trustevo.evolution as evolution
 import trustevo.sweep as sweep
 from trustevo.cli import _game_from_args, build_parser, main
 from trustevo.errors import ConfigError, NumericalError
@@ -201,8 +202,8 @@ class TestSweepEvaluation:
             ("check_prob", tuple(probs)),
         )
         config = SweepConfig(game=GameSpec(expected_rounds=7.5), axes=tuple(axes[i] for i in order))
-        with mock.patch.object(sweep, "_CHUNK_ELEMENTS", chunk), mock.patch.object(
-            sweep, "pair_fixation", wraps=sweep.pair_fixation
+        with mock.patch.object(evolution, "_CHUNK_ELEMENTS", chunk), mock.patch.object(
+            evolution, "pair_fixation", wraps=evolution.pair_fixation
         ) as kernel:
             rows = run_sweep(config)
         assert kernel.call_count > 1
@@ -246,7 +247,7 @@ class TestSweepEvaluation:
     def test_each_distinct_pair_is_summed_once(self, preset, distinct):
         """The fixation kernel sums each distinct 2 x 2 pair sub-table of a
         sweep once: fig5's 252 points hold 2,520 pairs but 1,036 sub-tables."""
-        with mock.patch.object(sweep, "pair_fixation", wraps=sweep.pair_fixation) as kernel:
+        with mock.patch.object(evolution, "pair_fixation", wraps=evolution.pair_fixation) as kernel:
             run_sweep(preset_config(preset))
         assert sum(len(call.args[0]) for call in kernel.call_args_list) == distinct
 
