@@ -79,6 +79,7 @@ def group_payoffs(
     """
     if not 1 <= k <= n - 1:
         raise ParameterDomainError(f"k must lie in [1, {n - 1}], got {k}")
+    values = np.asarray(values, dtype=float)
     if require_int("a", a, 0) >= len(values) or require_int("b", b, 0) >= len(values):
         raise ParameterDomainError(f"a and b must be below {len(values)}, got {a} and {b}")
     aa, ab, ba, bb = values[a, a], values[a, b], values[b, a], values[b, b]
@@ -116,8 +117,10 @@ def _fixation_sums(args: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _check_table(values: np.ndarray, n: int, **indices: int) -> None:
-    """Refuse what fixation sums at population ``n`` cannot take: a bad table or index."""
+def _check_table(values: np.ndarray, n: int, **indices: int) -> np.ndarray:
+    """``values`` as a float array; refuse what fixation sums at population ``n`` cannot take:
+    a bad table or index."""
+    values = np.asarray(values, dtype=float)
     shape = values.shape[-2:]
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
         raise ParameterDomainError(
@@ -135,6 +138,7 @@ def _check_table(values: np.ndarray, n: int, **indices: int) -> None:
         raise NumericalError(
             f"payoff entries beyond {bound:.3g} overflow fixation sums at N={n}{where}"
         )
+    return values
 
 
 @functools.cache
@@ -183,9 +187,8 @@ def fixation_matrix(values: np.ndarray, params: EvolutionParams) -> np.ndarray:
     pair's fixation depends on its sub-table alone, so a stack sums each distinct
     sub-table (matched by its bytes: +0 and -0 stay apart) once, ``_CHUNK_ELEMENTS``
     terms at most at a time; one table's few pairs cost less than matching them."""
-    values = np.asarray(values, dtype=float)
     n = params.population_size
-    _check_table(values, n)
+    values = _check_table(values, n)
     size, index = values.shape[-1], _pair_index(values.shape[-1])
     pairs = np.take(values.reshape(*values.shape[:-2], -1), index, axis=-1)
     if values.ndim == 2:
@@ -204,7 +207,7 @@ def fixation_probability(
     values: np.ndarray, mutant: int, resident: int, params: EvolutionParams
 ) -> float:
     """Probability that a single mutant takes over a resident population."""
-    _check_table(values, params.population_size, mutant=mutant, resident=resident)
+    values = _check_table(values, params.population_size, mutant=mutant, resident=resident)
     r, m = resident, mutant
     return float(pair_fixation(values[(r, r, m, m), (r, m, r, m)], params)[0])
 
@@ -315,7 +318,7 @@ def simulate_fixation(
     require_int("runs", runs, 1)
     require_int("seed", seed, 0)
     n = params.population_size
-    _check_table(values, n, mutant=mutant, resident=resident)
+    values = _check_table(values, n, mutant=mutant, resident=resident)
     beta = params.selection_strength
     up = np.empty(n - 1)
     for k in range(1, n):

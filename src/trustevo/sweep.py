@@ -6,9 +6,10 @@ cooperation report) at every grid point, as ``cooperation_report`` does,
 bit for bit.  Consecutive points that share N and beta run as stacks of up
 to ``_STACK_POINTS`` through ``pool_cooperation``, the path of a single
 point; a refused point raises naming its axis values, the first in grid
-order, found by bisecting the stack's prefixes.  Grid order is row-major in
-the listed axis order with the last axis varying fastest; nothing is random,
-so a sweep is byte-identical run to run.
+order, found by halving the refused stack (at most 3n points summed for a
+stack of n).  Grid order is row-major in the listed axis order with the last
+axis varying fastest; nothing is random, so a sweep is byte-identical run to
+run.
 
 The eleven base parameters are listed once, by INI section, in ``SECTIONS``:
 the :class:`GameSpec` fields under ``[game]`` (defaults from ``GameSpec()``),
@@ -26,7 +27,6 @@ command line table, and refuses a NaN or infinite number.
 
 from __future__ import annotations
 
-import bisect
 import configparser
 import dataclasses
 import functools
@@ -61,7 +61,7 @@ _OUTPUT_COLUMNS = (
 )
 
 # Most points a sweep grid or one axis may hold: a one-run grid this size
-# takes about 4 s in ``run_sweep`` and 1 s in ``write_csv``, at some 180 MB
+# takes about 4 s in ``run_sweep`` and 1.5 s in ``write_csv``, at some 185 MB
 # peak RSS (N=100, two x86_64 CPUs).  A larger count is likelier a typo than a
 # study, and is refused before the axis values or the grid are built.
 _MAX_POINTS = 100_000
@@ -214,43 +214,41 @@ def _grid_points(config: SweepConfig):
         yield {**base, **dict(zip(names, values))}
 
 
-def _stationaries(points: list[dict], built) -> tuple[np.ndarray, ...]:
-    """Both pools' stationary vectors and cooperation of points sharing N and beta, one stack
-    each: every step that can refuse a point.  ``built`` holds the cached builders."""
+def _evaluate(points: list[dict], names: Sequence[str], built) -> list[dict]:
+    """Rows of points sharing N and beta, as one stack through ``pool_cooperation``.
+
+    A stack is refused exactly when one of its points is refused alone, so a
+    refused stack is halved, first half first, down to its first refused point,
+    whose own error is raised naming its values on the axes ``names``: at most
+    3n points in 2 ceil(log2 n) + 1 stacks.  ``built`` holds the cached builders.
+    """
     game_of, pool_of, indices_of = built
-    indices = []
-    for row in points:
-        game = game_of(*map(row.__getitem__, _GAME_PARAMS))
-        trust = int(row["trust_threshold"]), row["check_prob"]
-        indices.append(indices_of(*trust, game.expected_rounds))
-    column = {name: np.array([row[name] for row in points], dtype=float) for name in points[0]}
-    scale = column["payoff_scale"]
-    values = payoff_tables(
-        [spec.kind for spec in pool_of(*trust)],
-        *(scale * column[name] for name in ("temptation", "reward", "punishment", "sucker")),
-        *map(column.get, ("expected_rounds", "check_cost", "trust_threshold", "check_prob")),
-    )
-    params = EvolutionParams(int(points[0]["population"]), points[0]["selection_strength"])
-    return pool_cooperation(values, indices, params)
-
-
-def _evaluate(points: list[dict], built) -> list[dict]:
-    """Rows of points sharing N and beta, from ``_stationaries``."""
-    freqs, _, coop_with, coop_without = _stationaries(points, built)
+    try:
+        indices = []
+        for row in points:
+            game = game_of(*map(row.__getitem__, _GAME_PARAMS))
+            trust = int(row["trust_threshold"]), row["check_prob"]
+            indices.append(indices_of(*trust, game.expected_rounds))
+        column = {name: np.array([row[name] for row in points], dtype=float) for name in points[0]}
+        scale = column["payoff_scale"]
+        values = payoff_tables(
+            [spec.kind for spec in pool_of(*trust)],
+            *(scale * column[name] for name in ("temptation", "reward", "punishment", "sucker")),
+            *map(column.get, ("expected_rounds", "check_cost", "trust_threshold", "check_prob")),
+        )
+        params = EvolutionParams(int(points[0]["population"]), points[0]["selection_strength"])
+        freqs, _, coop_with, coop_without = pool_cooperation(values, indices, params)
+    except (ValueError, NumericalError) as exc:
+        if len(points) > 1:
+            half = (len(points) + 1) // 2
+            return _evaluate(points[:half], names, built) + _evaluate(points[half:], names, built)
+        at = ", ".join(f"{name}={points[0][name]!r}" for name in names)
+        raise type(exc)(f"{exc} (sweep point {at or 'without axes'})") from None
     outputs = np.column_stack([freqs, coop_with, coop_without, coop_with - coop_without])
     columns = (*(f"param:{name}" for name in points[0]), *_OUTPUT_COLUMNS)
     return [
         dict(zip(columns, (*row.values(), *out))) for row, out in zip(points, outputs.tolist())
     ]
-
-
-def _refusal(points: list[dict], built) -> Exception | None:
-    """The error that refuses ``points`` as one stack, or None."""
-    try:
-        _stationaries(points, built)
-    except (ValueError, NumericalError) as exc:
-        return exc
-    return None
 
 
 def run_sweep(config: SweepConfig) -> list[dict]:
@@ -262,22 +260,12 @@ def run_sweep(config: SweepConfig) -> list[dict]:
         return [selfplay_cooperation_index(spec, rounds) for spec in pool_of(theta, check_prob)]
 
     rows, built = [], (functools.cache(GameSpec), pool_of, indices_of)
+    names = [name for name, _ in config.axes]
     for _, points in itertools.groupby(
         _grid_points(config), itemgetter("population", "selection_strength")
     ):
         while run := list(itertools.islice(points, _STACK_POINTS)):
-            try:
-                rows += _evaluate(run, built)
-            except (ValueError, NumericalError):
-                # A stack fails exactly when one of its points fails on its own,
-                # so the shortest failing prefix ends at the first refused point.
-                first = bisect.bisect(
-                    range(1, len(run)), False, key=lambda end: bool(_refusal(run[:end], built))
-                )
-                if exc := _refusal([run[first]], built):
-                    at = ", ".join(f"{name}={run[first][name]!r}" for name, _ in config.axes)
-                    raise type(exc)(f"{exc} (sweep point {at or 'without axes'})") from None
-                raise
+            rows += _evaluate(run, names, built)
     return rows
 
 

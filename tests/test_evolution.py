@@ -233,6 +233,11 @@ class TestGroupPayoffs:
         with pytest.raises(NumericalError, match="non-finite"):
             group_payoffs(values, 0, 1, k=1, n=100)
 
+    @pytest.mark.parametrize("values", [[[3.0, 0.0], [5.0, 1.0]], [[3, 0], [5, 1]]])
+    def test_a_nested_list_gives_the_array_payoffs(self, values):
+        expected = group_payoffs(np.array(values, dtype=float), 0, 1, k=3, n=10)
+        assert group_payoffs(values, 0, 1, k=3, n=10) == expected
+
     def test_entries_it_does_not_read_are_not_checked(self):
         values = np.array([[1.0, -1.0, math.nan], [2.0, 0.0, math.inf], [math.nan] * 3])
         assert group_payoffs(values, 0, 1, k=1, n=100) == group_payoffs(self.VALUES, 0, 1, 1, 100)
@@ -351,6 +356,13 @@ class TestFixationInputs:
     def test_a_table_that_is_not_square_is_refused(self, fixation):
         with pytest.raises(ParameterDomainError, match="square"):
             fixation(DEFAULT_VALUES[:, :4], 1, 0, self.PARAMS)
+
+    @pytest.mark.parametrize(
+        "values", [[[3.0, 0.0], [5.0, 1.0]], [[3, 0], [5, 1]], DEFAULT_VALUES.tolist()]
+    )
+    def test_a_nested_list_gives_the_array_result(self, fixation, values):
+        expected = fixation(np.array(values, dtype=float), 1, 0, self.PARAMS)
+        assert fixation(values, 1, 0, self.PARAMS) == expected
 
 
 class TestMarkovChain:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import trustevo.evolution as evolution
 import trustevo.sweep as sweep
 from trustevo.cli import _game_from_args, build_parser, main
-from trustevo.errors import ConfigError, NumericalError
+from trustevo.errors import ConfigError, DilemmaViolationError, NumericalError
 from trustevo.evolution import EvolutionParams, fixation_probability
 from trustevo.game_model import GameSpec, make_prisoners_dilemma
 from trustevo.match_sim import monte_carlo_payoffs
@@ -251,21 +251,76 @@ class TestSweepEvaluation:
             run_sweep(preset_config(preset))
         assert sum(len(call.args[0]) for call in kernel.call_args_list) == distinct
 
-    def test_a_refused_last_point_is_found_by_bisection(self):
+    def test_a_refused_last_point_is_found_by_halving(self):
         """Of 2,000 points only the last, a stiff chain at stake 100, is
-        refused: the sweep names it after one whole-run stack, O(log n)
-        prefix stacks and one evaluation of that point alone."""
+        refused: the sweep halves each refused stack, first half first, so it
+        sums at most 3n points in at most 2 ceil(log2 n) + 1 stacks, the last
+        of them that point alone."""
         scales = (*np.linspace(0.5, 1.5, 1999).tolist(), 100.0)
         config = SweepConfig(
             game=GameSpec(expected_rounds=4), population=100, selection_strength=0.1,
             axes=(("payoff_scale", scales),),
         )
-        with mock.patch.object(sweep, "_stationaries", wraps=sweep._stationaries) as evaluate:
+        with mock.patch.object(sweep, "_evaluate", wraps=sweep._evaluate) as evaluate:
             with pytest.raises(NumericalError, match=r"\(sweep point payoff_scale=100\.0\)$"):
                 run_sweep(config)
-        sizes = [len(call.args[0]) for call in evaluate.call_args_list]
-        assert sizes.count(1) == 1 and sizes[-1] == 1
-        assert len(sizes) - 1 <= 1 + math.ceil(math.log2(len(scales)))
+        stacks = [call.args[0] for call in evaluate.call_args_list]
+        assert [point["payoff_scale"] for point in stacks[-1]] == [100.0]
+        assert sum(map(len, stacks)) <= 3 * len(scales)
+        assert len(stacks) <= 2 * math.ceil(math.log2(len(scales))) + 1
+
+    @pytest.mark.parametrize(
+        "game, axes, error, point",
+        [
+            (
+                GameSpec(expected_rounds=4),
+                (("payoff_scale", (1.0, 100.0)), ("temptation", (2.0, 0.5))),
+                DilemmaViolationError, "payoff_scale=1.0, temptation=0.5",
+            ),
+            # The whole stack stops at the bad game of its third point, while
+            # its second point, the stiff chain, fails only at the solve.
+            (
+                GameSpec(expected_rounds=4),
+                (("temptation", (2.0, 0.5)), ("payoff_scale", (1.0, 100.0))),
+                NumericalError, "temptation=2.0, payoff_scale=100.0",
+            ),
+            (GameSpec(expected_rounds=4, payoff_scale=100.0), (), NumericalError, "without axes"),
+        ],
+    )
+    def test_a_refusal_names_the_first_refused_point(self, game, axes, error, point):
+        with pytest.raises(error, match=rf" \(sweep point {re.escape(point)}\)$"):
+            run_sweep(SweepConfig(game=game, axes=axes))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        scales=st.lists(
+            st.sampled_from(
+                [1.0 + i / 64 for i in range(24)] + [102.0, 104.0]  # passing
+                + [100.0, 101.0, 103.0, 107.0, 108.0]  # stiff chains at rounds 4
+                + [-1.0, -2.0]  # games refused when built, before any chain
+            ),
+            min_size=1, max_size=32, unique=True,
+        )
+    )
+    def test_a_refusal_names_the_point_a_scan_of_single_points_refuses_first(self, scales):
+        game = GameSpec(expected_rounds=4)
+        expected = None
+        for scale in scales:
+            try:
+                run_sweep(SweepConfig(game=game, axes=(("payoff_scale", (scale,)),)))
+            except (ValueError, NumericalError) as exc:
+                expected = type(exc), str(exc)
+                break
+        with mock.patch.object(sweep, "_evaluate", wraps=sweep._evaluate) as evaluate:
+            try:
+                rows = run_sweep(SweepConfig(game=game, axes=(("payoff_scale", tuple(scales)),)))
+            except (ValueError, NumericalError) as exc:
+                assert (type(exc), str(exc)) == expected
+            else:
+                assert expected is None and len(rows) == len(scales)
+        stacks = [call.args[0] for call in evaluate.call_args_list]
+        assert sum(map(len, stacks)) <= 3 * len(scales)
+        assert len(stacks) <= 2 * math.ceil(math.log2(len(scales))) + 1
 
     def test_a_long_run_is_stacked_in_bounded_blocks(self):
         """A 20,000-point run at one N and beta holds at most a block of
