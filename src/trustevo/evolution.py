@@ -41,17 +41,22 @@ _EXP_GUARD = 700.0
 # N - 1 terms a distinct pair: 165 pairs (256 kB) at N=100, 16 at N=1000.
 _CHUNK_ELEMENTS = 32_768
 _eye = functools.cache(np.eye)  # read only: a solve subtracts it
+# Largest population size: a report's fixation sums take some 330 bytes a member.
+_MAX_POPULATION = 1_000_000
 
 
 @dataclass(frozen=True)
 class EvolutionParams:
-    """Population size N >= 2 and imitation selection strength beta >= 0."""
+    """Population size 2 <= N <= 10^6 and imitation selection strength beta >= 0."""
 
     population_size: int
     selection_strength: float
 
     def __post_init__(self) -> None:
-        require_int("population_size", self.population_size, 2)
+        if require_int("population_size", self.population_size, 2) > _MAX_POPULATION:
+            raise ParameterDomainError(
+                f"population_size must be at most {_MAX_POPULATION}, got {self.population_size}"
+            )
         if not 0 <= self.selection_strength < np.inf:
             raise ParameterDomainError(
                 f"selection_strength must be finite and >= 0, got {self.selection_strength}"

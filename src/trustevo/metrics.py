@@ -49,17 +49,16 @@ def selfplay_cooperation_index(spec: StrategySpec, rounds: float) -> float:
 
 
 def population_cooperation(stationary: np.ndarray, indices: np.ndarray):
-    """Stationary-weighted average of self-play cooperation indices; for a
-    stack of rows, one average per row, each its own dot product."""
+    """Stationary-weighted average of self-play cooperation indices: a float for
+    one row; for a stack, one batched product, each row's own dot product bit for bit."""
     stationary = np.asarray(stationary, dtype=float)
     indices = np.asarray(indices, dtype=float)
     if stationary.shape != indices.shape:
         raise ParameterDomainError(
             f"shape mismatch: {stationary.shape} vs {indices.shape}"
         )
-    if stationary.ndim == 1:
-        return float(stationary @ indices)
-    return np.fromiter(map(np.matmul, stationary, indices), float, len(stationary))
+    average = (stationary[..., None, :] @ indices[..., None])[..., 0, 0]
+    return float(average) if stationary.ndim == 1 else average
 
 
 @dataclass

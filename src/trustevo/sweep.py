@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import functools
 import io
 import itertools
 import math
@@ -214,34 +213,37 @@ def _grid_points(config: SweepConfig):
         yield {**base, **dict(zip(names, values))}
 
 
-def _evaluate(points: list[dict], names: Sequence[str], built) -> list[dict]:
-    """Rows of points sharing N and beta, as one stack through ``pool_cooperation``.
+def _evaluate(points: list[dict], names: Sequence[str]) -> list[dict]:
+    """Rows of points sharing N and beta, as one stack through ``pool_cooperation``;
+    each distinct game and strategy pool of the stack is built and checked once.
 
     A stack is refused exactly when one of its points is refused alone, so a
     refused stack is halved, first half first, down to its first refused point,
     whose own error is raised naming its values on the axes ``names``: at most
-    3n points in 2 ceil(log2 n) + 1 stacks.  ``built`` holds the cached builders.
+    3n points in 2 ceil(log2 n) + 1 stacks.
     """
-    game_of, pool_of, indices_of = built
     try:
-        indices = []
-        for row in points:
-            game = game_of(*map(row.__getitem__, _GAME_PARAMS))
-            trust = int(row["trust_threshold"]), row["check_prob"]
-            indices.append(indices_of(*trust, game.expected_rounds))
+        for game in set(map(itemgetter(*_GAME_PARAMS), points)):
+            GameSpec(*game)
+        keys = list(map(itemgetter("trust_threshold", "check_prob", "expected_rounds"), points))
+        selfplay = {}
+        for theta, prob, rounds in set(keys):  # also checks theta against the rounds
+            pool = strategy_pool(int(theta), prob)
+            selfplay[theta, prob, rounds] = [selfplay_cooperation_index(s, rounds) for s in pool]
         column = {name: np.array([row[name] for row in points], dtype=float) for name in points[0]}
-        scale = column["payoff_scale"]
+        with np.errstate(over="ignore"):  # payoff_tables names an entry that overflows
+            stakes = [column["payoff_scale"] * column[name] for name in _GAME_PARAMS[:4]]
         values = payoff_tables(
-            [spec.kind for spec in pool_of(*trust)],
-            *(scale * column[name] for name in ("temptation", "reward", "punishment", "sucker")),
+            [spec.kind for spec in pool], *stakes,  # T, R, P, S
             *map(column.get, ("expected_rounds", "check_cost", "trust_threshold", "check_prob")),
         )
         params = EvolutionParams(int(points[0]["population"]), points[0]["selection_strength"])
+        indices = [selfplay[key] for key in keys]
         freqs, _, coop_with, coop_without = pool_cooperation(values, indices, params)
     except (ValueError, NumericalError) as exc:
         if len(points) > 1:
             half = (len(points) + 1) // 2
-            return _evaluate(points[:half], names, built) + _evaluate(points[half:], names, built)
+            return _evaluate(points[:half], names) + _evaluate(points[half:], names)
         at = ", ".join(f"{name}={points[0][name]!r}" for name in names)
         raise type(exc)(f"{exc} (sweep point {at or 'without axes'})") from None
     outputs = np.column_stack([freqs, coop_with, coop_without, coop_with - coop_without])
@@ -253,19 +255,12 @@ def _evaluate(points: list[dict], names: Sequence[str], built) -> list[dict]:
 
 def run_sweep(config: SweepConfig) -> list[dict]:
     """Evaluate every grid point, in deterministic grid order."""
-    pool_of = functools.cache(strategy_pool)
-
-    @functools.cache
-    def indices_of(theta, check_prob, rounds):  # also checks theta against the match length
-        return [selfplay_cooperation_index(spec, rounds) for spec in pool_of(theta, check_prob)]
-
-    rows, built = [], (functools.cache(GameSpec), pool_of, indices_of)
-    names = [name for name, _ in config.axes]
+    rows, names = [], [name for name, _ in config.axes]
     for _, points in itertools.groupby(
         _grid_points(config), itemgetter("population", "selection_strength")
     ):
         while run := list(itertools.islice(points, _STACK_POINTS)):
-            rows += _evaluate(run, names, built)
+            rows += _evaluate(run, names)
     return rows
 
 

@@ -150,6 +150,12 @@ class TestEvolutionParams:
     def test_zero_selection_is_allowed(self):
         EvolutionParams(population_size=2, selection_strength=0.0)
 
+    def test_population_is_bounded(self):
+        """N = 10^6 is the largest population taken; nothing is computed here."""
+        assert EvolutionParams(10**6, 0.1).population_size == 10**6
+        with pytest.raises(ParameterDomainError, match="at most 1000000, got 1000001$"):
+            EvolutionParams(10**6 + 1, 0.1)
+
     def test_non_finite_selection_is_rejected(self):
         for beta in (math.nan, math.inf):
             with pytest.raises(ParameterDomainError, match="finite"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trustevo.errors import ParameterDomainError
 from trustevo.evolution import (
@@ -49,6 +51,26 @@ class TestPopulationCooperation:
     def test_shape_mismatch(self):
         with pytest.raises(ParameterDomainError):
             population_cooperation(np.array([0.5, 0.5]), np.array([1.0]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 8), st.sampled_from((3, 5))).flatmap(
+            lambda nk: st.sampled_from((nk, (2, *nk)))
+        ),
+        data=st.data(),
+    )
+    def test_a_stack_equals_its_rows_bit_for_bit(self, shape, data):
+        """Each average of a stack has the bytes of its own rows' 1-D call,
+        which returns a Python float."""
+        unit = st.floats(0.0, 1.0)
+        stationary = data.draw(arrays(float, shape, elements=unit))
+        indices = data.draw(arrays(float, shape, elements=unit))
+        stacked = population_cooperation(stationary, indices)
+        assert stacked.shape == shape[:-1]
+        for at in np.ndindex(shape[:-1]):
+            single = population_cooperation(stationary[at], indices[at])
+            assert type(single) is float
+            assert stacked[at].hex() == single.hex() == float(stationary[at] @ indices[at]).hex()
 
 
 class TestCooperationReport:

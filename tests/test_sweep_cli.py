@@ -5,6 +5,7 @@ import io
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 import trustevo.evolution as evolution
 import trustevo.sweep as sweep
 from trustevo.cli import _game_from_args, build_parser, main
-from trustevo.errors import ConfigError, DilemmaViolationError, NumericalError
+from trustevo.errors import (
+    ConfigError, DilemmaViolationError, NumericalError, ParameterDomainError,
+)
 from trustevo.evolution import EvolutionParams, fixation_probability
 from trustevo.game_model import GameSpec, make_prisoners_dilemma
 from trustevo.match_sim import monte_carlo_payoffs
@@ -285,6 +288,9 @@ class TestSweepEvaluation:
                 NumericalError, "temptation=2.0, payoff_scale=100.0",
             ),
             (GameSpec(expected_rounds=4, payoff_scale=100.0), (), NumericalError, "without axes"),
+            # The scaled table overflows to inf, which payoff_tables names.
+            (GameSpec(payoff_scale=1e308), (), NumericalError, "without axes"),
+            (GameSpec(), (("population", (100.0, 1e20)),), ParameterDomainError, "population=1e+20"),
         ],
     )
     def test_a_refusal_names_the_first_refused_point(self, game, axes, error, point):
@@ -325,7 +331,7 @@ class TestSweepEvaluation:
     def test_a_long_run_is_stacked_in_bounded_blocks(self):
         """A 20,000-point run at one N and beta holds at most a block of
         points' tables, solves and byte match beside its rows: 36 MiB above
-        the rows as one stack, about 11 MiB in blocks of 4,096 points."""
+        the rows as one stack, about 6 MiB in blocks of 4,096 points."""
         import tracemalloc
 
         config = SweepConfig(axes=(("check_cost", tuple(i / 20_000 for i in range(20_000))),))
@@ -336,7 +342,7 @@ class TestSweepEvaluation:
         finally:
             tracemalloc.stop()
         assert len(rows) == 20_000
-        assert peak - kept < 16 * 2**20
+        assert peak - kept < 8 * 2**20
 
     def test_column_order_is_stable(self):
         rows = run_sweep(preset_config("fig3"))
@@ -759,6 +765,27 @@ class TestCliErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, ini",
+        [
+            (["coop-report", "--population", str(10**20)], None),
+            (["fixation", "TUC", "ALLD", "--population", str(10**20)], None),
+            (["sweep", "--config"], "[evolution]\npopulation = 1e20\n"),
+        ],
+    )
+    def test_a_population_too_large_to_sum_is_an_error_line(self, argv, ini, tmp_path, capsys):
+        if ini is not None:
+            (tmp_path / "sweep.ini").write_text(ini)
+            argv = [*argv, str(tmp_path / "sweep.ini")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"error: population_size must be at most 1000000, got 10{20}"
+            r"( \(sweep point without axes\))?\n",
+            captured.err,
+        )
+
     def test_unwritable_output_path(self, capsys):
         assert main(["payoff-matrix", "--out", "/nonexistent/dir/x.csv"]) == 1
 
@@ -821,6 +848,19 @@ class TestCliNonFinite:
 
 
 class TestCliRefusedSweepPoint:
+    def test_an_overflowed_stake_is_one_line(self, tmp_path, capsys):
+        """The error line alone, with no RuntimeWarning written before it."""
+        path = tmp_path / "stake.ini"
+        path.write_text("[game]\npayoff_scale = 1e308\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--config", str(path)]) == 2
+        assert caught == []
+        assert capsys.readouterr() == (
+            "",
+            "numerical error: payoff entry (ALLC, TUD) overflowed to nan (sweep point without axes)\n",
+        )
+
     def test_the_first_refused_point_is_named(self, tmp_path, capsys):
         """A stiff chain at stake 100 is refused; the error names that point."""
         path = tmp_path / "stiff.ini"
