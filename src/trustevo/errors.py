@@ -27,10 +27,13 @@ class ConfigError(ValueError):
     """A sweep configuration file or CLI invocation is malformed."""
 
 
-def require_int(name: str, value, minimum: int):
-    """``value`` if it is an int of at least ``minimum``; bool is refused."""
+def require_int(name: str, value, minimum: int, maximum=None):
+    """``value`` if it is an int of at least ``minimum`` and at most ``maximum``;
+    bool is refused."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ParameterDomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ParameterDomainError(f"{name} must be at most {maximum}, got {value!r}")
     return value
 
 

@@ -43,6 +43,8 @@ _CHUNK_ELEMENTS = 32_768
 _eye = functools.cache(np.eye)  # read only: a solve subtracts it
 # Largest population size: a report's fixation sums take some 330 bytes a member.
 _MAX_POPULATION = 1_000_000
+# Most fixation simulation runs: each count of runs is an int64.
+_MAX_RUNS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -53,10 +55,7 @@ class EvolutionParams:
     selection_strength: float
 
     def __post_init__(self) -> None:
-        if require_int("population_size", self.population_size, 2) > _MAX_POPULATION:
-            raise ParameterDomainError(
-                f"population_size must be at most {_MAX_POPULATION}, got {self.population_size}"
-            )
+        require_int("population_size", self.population_size, 2, _MAX_POPULATION)
         if not 0 <= self.selection_strength < np.inf:
             raise ParameterDomainError(
                 f"selection_strength must be finite and >= 0, got {self.selection_strength}"
@@ -320,7 +319,7 @@ def simulate_fixation(
     the distribution of ``runs`` separate chains.  All draws come from one
     PCG64 stream seeded by ``seed``.
     """
-    require_int("runs", runs, 1)
+    require_int("runs", runs, 1, _MAX_RUNS)
     require_int("seed", seed, 0)
     n = params.population_size
     values = _check_table(values, n, mutant=mutant, resident=resident)
@@ -329,18 +328,18 @@ def simulate_fixation(
     for k in range(1, n):
         pi_m, pi_r = group_payoffs(values, mutant, resident, k, n)
         up[k - 1] = fermi_probability(pi_m - pi_r, beta)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    binomial = np.random.Generator(np.random.PCG64(seed)).binomial
     runs_at = np.zeros(n + 1, dtype=np.int64)
     runs_at[1] = runs
+    moving, above, below = runs_at[1:n], runs_at[2:], runs_at[:-2]
     # Absorption from one mutant takes O(N) jumps in expectation; the cap
     # only exists to turn a logic error into a loud failure.
     for _ in range(1000 * n * n + 100_000):
-        moving = runs_at[1:n]
-        if not moving.any():
+        if runs_at[0] + runs_at[n] == runs:
             return float(runs_at[n] / runs)
-        rising = rng.binomial(moving, up)
+        rising = binomial(moving, up)
         falling = moving - rising
-        moving[:] = 0
-        runs_at[2:] += rising
-        runs_at[:-2] += falling
+        moving.fill(0)
+        above += rising
+        below += falling
     raise NumericalError("fixation simulation failed to absorb all runs")

@@ -11,7 +11,8 @@ weight in the enumerator, a boolean mask of the samples whose draw picks it
 in a rollout.  States that cannot behave differently merge, their masses
 added, and each distinct joint state is stepped once per walk.  The
 enumerator's walk ends at the first round that leaves the frontier as it
-found it, later rounds repeating its counts; a rollout walks every round.
+found it, but that a player's pre-trust levels may all fall by one amount,
+as against ALLD: later rounds repeat its counts.  A rollout walks every round.
 The 12 codes cross the result (T, R, P or S, from the player's side) with
 the observation: none, a paid check, or the check that catches a defection.
 :func:`outcome_payoffs` prices them for one game and cost convention.
@@ -73,6 +74,10 @@ from .strategies import (
 # states stay in the single digits for the five supported kinds; hitting
 # this limit means a bug, not a big computation.
 _STATE_LIMIT = 256
+
+# Longest simulated match and most Monte Carlo samples: a traced round holds
+# some 230 bytes and a round of exact counts 390; a sample's totals take 16.
+_MAX_ROUNDS, _MAX_SAMPLES = 1_000_000, 10_000_000
 
 # Monte Carlo samples per lockstep rollout, fewer past 512 rounds: at most 8 MB of
 # draws up to 524,288 rounds; past that one sample a block, 16 bytes a round.
@@ -178,8 +183,9 @@ def _walk(spec_a, spec_b, rounds, mass, split, record, settle=False):
     add their masses with ``+``: weights sum and boolean sample masks unite.
     Each joint key is stepped once per walk, and later rounds reuse its step.
     Returns the rounds walked.  With ``settle`` (float masses, and a ``split``
-    that weighs every round alike) the walk ends after a round that leaves the
-    frontier as it found it: the same keys in the same order, each mass ``==``.
+    that weighs every round alike) the walk ends after a round that each later
+    round repeats, by :func:`_repeats`: one that leaves the frontier as it found
+    it, but for pre-trust levels that all fall by one amount.
     """
     steps = {}
     frontier = {(initial_state(spec_a), initial_state(spec_b)): mass}
@@ -207,10 +213,31 @@ def _walk(spec_a, spec_b, rounds, mass, split, record, settle=False):
                 f"joint state count {len(successors)} exceeded the budget; "
                 "the behaviour key has stopped collapsing states"
             )
-        if settle and list(successors.items()) == list(frontier.items()):
+        if settle and _repeats(frontier, successors, (spec_a, spec_b)):
             return i + 1
         frontier = successors
     return rounds
+
+
+def _repeats(frontier, successors, specs):
+    """Whether every later round repeats the one that took ``frontier`` to
+    ``successors``: they hold the same keys in the same order, each mass ``==``,
+    except that a player's pre-trust levels may all have dropped by one amount
+    d > 0 from levels too low to reach trust in a round.  Records never read a
+    level, and a level d lower still cannot reach trust, so each key steps, and
+    its successors merge, as the key d higher did."""
+    if list(successors.values()) != list(frontier.values()):
+        return False
+    for spec, old, new in zip(specs, zip(*frontier), zip(*successors)):
+        if old == new:
+            continue
+        drops = {o.trust_level - n.trust_level for o, n in zip(old, new) if not o.trusting}
+        if len(drops) != 1 or drops.pop() <= 0:
+            return False
+        top = max(o.trust_level for o in old if not o.trusting)
+        if top + 1 >= spec.trust_threshold or [o[1:] for o in old] != [n[1:] for n in new]:
+            return False
+    return True
 
 
 def _rollout(spec_a, spec_b, game, convention, draws, trace=None):
@@ -249,7 +276,7 @@ def play_match(
     seed: int = 0,
 ) -> MatchOutcome:
     """Roll out one seeded match and return its full trace."""
-    rounds = game.simulation_rounds()
+    rounds = require_int("rounds", game.simulation_rounds(), 1, _MAX_ROUNDS)
     draws = _generator(seed).random((1, rounds, 2))
     trace = []
     _rollout(spec_a, spec_b, game, convention, draws, trace)
@@ -266,8 +293,8 @@ def monte_carlo_payoffs(
     seed: int = 0,
 ) -> MonteCarloPayoffs:
     """Average seeded rollouts; sample i is the i-th match of one stream."""
-    rounds = game.simulation_rounds()
-    require_int("samples", samples, 1)
+    rounds = require_int("rounds", game.simulation_rounds(), 1, _MAX_ROUNDS)
+    require_int("samples", samples, 1, _MAX_SAMPLES)
     rng = _generator(seed)
     totals = np.empty((2, samples))
     size = min(samples, max(1, _BLOCK * 512 // max(rounds, 512)))
@@ -298,7 +325,7 @@ def expected_outcomes(spec_a: StrategySpec, spec_b: StrategySpec, rounds: int) -
     """Expected outcome counts as a (rounds, 2, 12) array: ``[i, player, code]``
     counts the first ``i + 1`` rounds in which ``player`` (0 for ``spec_a``)
     met ``code``, exact over :func:`play_match`'s draws up to float rounding."""
-    require_int("rounds", rounds, 1)
+    require_int("rounds", rounds, 1, _MAX_ROUNDS)
     rows = []  # each walked round's counts; every round records
 
     def split(i, player, weight, prob, observed):

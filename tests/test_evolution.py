@@ -843,7 +843,50 @@ class TestSmallMutationReduction:
             assert ratios[1] == pytest.approx(ratios[0], rel=0.05)
 
 
+def _frozen_simulate_fixation(values, mutant, resident, params, runs, seed):
+    """``simulate_fixation`` as it stood before its step loop built its views
+    once and tested absorption by the absorbed counts."""
+    n = params.population_size
+    up = np.empty(n - 1)
+    for k in range(1, n):
+        pi_m, pi_r = group_payoffs(values, mutant, resident, k, n)
+        up[k - 1] = fermi_probability(pi_m - pi_r, params.selection_strength)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    runs_at = np.zeros(n + 1, dtype=np.int64)
+    runs_at[1] = runs
+    for _ in range(1000 * n * n + 100_000):
+        moving = runs_at[1:n]
+        if not moving.any():
+            return float(runs_at[n] / runs)
+        rising = rng.binomial(moving, up)
+        falling = moving - rising
+        moving[:] = 0
+        runs_at[2:] += rising
+        runs_at[:-2] += falling
+    raise AssertionError("no absorption")
+
+
 class TestSimulateFixation:
+    @pytest.mark.parametrize("n", [2, 3, 20, 100])
+    @pytest.mark.parametrize("beta", [0.0, 0.1, 5.0])
+    def test_bytes_equal_the_frozen_loop(self, n, beta):
+        """The same draws in the same order: each seeded frequency is the
+        frozen loop's, bit for bit."""
+        params = EvolutionParams(n, beta)
+        for (mutant, resident), seed in itertools.product(((3, 1), (1, 0), (4, 2)), (7, 2024)):
+            got = simulate_fixation(DEFAULT_VALUES, mutant, resident, params, runs=300, seed=seed)
+            expected = _frozen_simulate_fixation(DEFAULT_VALUES, mutant, resident, params, 300, seed)
+            assert got.hex() == expected.hex(), (mutant, resident, seed)
+
+    def test_runs_are_bounded_by_the_int64_counts(self):
+        """Counts of runs are int64: 2^63 - 1 runs are taken, one more are
+        refused before any work."""
+        params = EvolutionParams(3, 0.1)
+        assert 0.0 < simulate_fixation(DEFAULT_VALUES, 3, 1, params, runs=2**63 - 1) < 1.0
+        for runs in (2**63, 2**70):
+            with pytest.raises(ParameterDomainError, match=f"runs must be at most {2**63 - 1}, got {runs}$"):
+                simulate_fixation(DEFAULT_VALUES, 3, 1, params, runs=runs)
+
     def test_agrees_with_closed_form(self):
         params = EvolutionParams(50, 0.1)
         cases = ((3, 1), (1, 0), (2, 1))

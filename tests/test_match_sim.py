@@ -27,6 +27,7 @@ from trustevo.strategies import (
     Action,
     StrategyKind,
     StrategySpec,
+    StrategyState,
     check_probability,
     initial_state,
     next_action,
@@ -300,12 +301,12 @@ class TestExpectedOutcomes:
         """One walk per distinct pair: 6 among ALLC, ALLD and TFT, 4 TUD
         pairs per theta and 5 TUC pairs per (theta, p): 6 + 16 + 100 = 122.
         Each walk steps each joint behaviour state once, two actions a step:
-        1,756 steps over the 122 walks, where stepping every state every
-        round took 6,631.  86 walks end at a frontier that a round leaves
-        unchanged, by round 12: 2,275 rounds walked, not 122 * 50 = 6,100.
-        The 36 that run all 50 rounds are ALLD v TUC or TUD, whose trust
-        level falls every round, and TUC v TUD with 0 < p < 1, whose
-        uncaught mass decays."""
+        604 steps over the 122 walks, where stepping every state every
+        round took 6,631.  110 walks end by round 12, at a round that leaves
+        the frontier unchanged or, in ALLD v TUC or TUD, only lowers the
+        trust level: 1,123 rounds walked, not 122 * 50 = 6,100.  The 12 that
+        run all 50 rounds are TUC v TUD with 0 < p < 1, whose uncaught mass
+        decays."""
         import trustevo.verification as verification
 
         calls = []
@@ -331,9 +332,9 @@ class TestExpectedOutcomes:
         report = run_oracle_verification()
         assert len(calls) == 122
         assert len({(a, b) for a, b, _ in calls}) == 122
-        assert len(actions) == 3512
-        assert sum(walked) == 2275
-        assert sum(n < 50 for n in walked) == 86 and max(n for n in walked if n < 50) == 12
+        assert len(actions) == 1208
+        assert sum(walked) == 1123
+        assert sum(n < 50 for n in walked) == 110 and max(n for n in walked if n < 50) == 12
         assert report.comparisons == 17550 and report.ok
 
 
@@ -690,6 +691,8 @@ class TestMemoisedWalk:
     @example(1, 0.5, (3, 3), 60, CostConvention.EVERY_CHECK, 1)
     @example(3, 0.1, (3, 2), 2000, CostConvention.DETECTION_FREE, 2)  # TUC v TFT settles
     @example(3, 0.25, (3, 4), 2000, CostConvention.EVERY_CHECK, 3)  # TUC v TUD never does
+    @example(3, 0.25, (1, 3), 2000, CostConvention.DETECTION_FREE, 4)  # ALLD v TUC: levels fall
+    @example(2, 0.5, (4, 1), 2000, CostConvention.EVERY_CHECK, 5)  # TUD v ALLD: levels fall
     def test_equals_the_stepwise_walk(self, theta, prob, pair, rounds, convention, seed):
         pool = strategy_pool(theta, prob)
         a, b = pool[pair[0]], pool[pair[1]]
@@ -706,6 +709,83 @@ class TestMemoisedWalk:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(match_sim, "_walk", _stepwise_walk)
             assert outputs() == memoised
+
+
+class TestSimulationBounds:
+    """Match length and sample count are bounded before anything is drawn or
+    allocated; the bounds themselves are never played here."""
+
+    LONG = make_prisoners_dilemma(expected_rounds=1_000_001)
+
+    @pytest.mark.parametrize(
+        "simulate",
+        [
+            lambda game: play_match(ALLC, ALLD, game),
+            lambda game: monte_carlo_payoffs(ALLC, ALLD, game, samples=2),
+            lambda game: exact_expected_payoffs(ALLC, ALLD, game),
+            lambda game: expected_outcomes(ALLC, ALLD, game.simulation_rounds()),
+        ],
+    )
+    def test_rounds_past_the_bound_are_refused(self, simulate):
+        with pytest.raises(ParameterDomainError, match="rounds must be at most 1000000, got 1000001$"):
+            simulate(self.LONG)
+
+    def test_samples_past_the_bound_are_refused(self):
+        with pytest.raises(ParameterDomainError, match="samples must be at most 10000000, got 10000001$"):
+            monte_carlo_payoffs(ALLC, ALLD, DEFAULT_GAME, samples=10_000_001)
+
+
+class TestSettleRule:
+    """``_repeats`` ends an enumerator walk only where every later round
+    repeats the last: its keys may change in nothing but pre-trust levels
+    that all fall by one amount d > 0, from below theta - 1."""
+
+    SPECS = (ALLD, tuc(3, 0.25))
+    ALLD_KEY = StrategyState(0, False, False, None)
+
+    @classmethod
+    def frontier(cls, *entries):
+        """A frontier of (TUC level, trusting, mass) entries against ALLD."""
+        return {
+            (cls.ALLD_KEY, StrategyState(level, trusting, False, None if trusting else D)): mass
+            for level, trusting, mass in entries
+        }
+
+    def repeats(self, before, after):
+        return match_sim._repeats(self.frontier(*before), self.frontier(*after), self.SPECS)
+
+    def test_accepts_an_unchanged_frontier(self):
+        assert self.repeats([(-1, False, 0.5), (0, True, 0.5)], [(-1, False, 0.5), (0, True, 0.5)])
+
+    def test_accepts_levels_falling_by_one_amount(self):
+        assert self.repeats([(-1, False, 1.0)], [(-2, False, 1.0)])
+        assert self.repeats(
+            [(0, True, 0.25), (-1, False, 0.5), (-3, False, 0.25)],
+            [(0, True, 0.25), (-2, False, 0.5), (-4, False, 0.25)],
+        )
+
+    def test_refuses_rising_levels(self):
+        assert not self.repeats([(-2, False, 1.0)], [(-1, False, 1.0)])
+
+    def test_refuses_unequal_masses(self):
+        assert not self.repeats([(-1, False, 1.0)], [(-2, False, 1.0 - 2**-53)])
+
+    def test_refuses_uneven_drops(self):
+        assert not self.repeats([(-1, False, 0.5), (-3, False, 0.5)], [(-2, False, 0.5), (-5, False, 0.5)])
+
+    def test_refuses_an_unchanged_level_before_a_falling_one(self):
+        assert not self.repeats([(-1, False, 0.5), (-3, False, 0.5)], [(-1, False, 0.5), (-4, False, 0.5)])
+
+    def test_refuses_a_level_that_can_reach_trust(self):
+        """At theta - 1 one cooperation reaches trust; the level one lower
+        does not, so the next round would step differently."""
+        assert not self.repeats([(2, False, 1.0)], [(1, False, 1.0)])
+        assert self.repeats([(1, False, 1.0)], [(0, False, 1.0)])
+
+    def test_refuses_other_changed_fields(self):
+        (alld, tuc_key), = self.frontier((-2, False, 1.0))
+        changed = {(alld, tuc_key._replace(last_observed=C)): 1.0}
+        assert not match_sim._repeats(self.frontier((-1, False, 1.0)), changed, self.SPECS)
 
 
 class TestLongMatchBlocks:

@@ -709,6 +709,21 @@ class TestCliSimulate:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--rounds", "1e12"], "rounds must be at most 1000000, got 1000000000000"),
+            (["--rounds", "1000001", "--samples", "3"], "rounds must be at most 1000000, got 1000001"),
+            (["--samples", "1000000000000"], "samples must be at most 10000000, got 1000000000000"),
+        ],
+    )
+    def test_sizes_past_their_bounds_are_an_error_line(self, extra, message, capsys):
+        """Refused before any draw: nothing near the bounds is played."""
+        assert main(["simulate", "ALLC", "ALLD", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestCliErrors:
     def test_unknown_command(self, capsys):
