@@ -76,7 +76,7 @@ from .strategies import (
 _STATE_LIMIT = 256
 
 # Longest simulated match and most Monte Carlo samples: a traced round holds
-# some 230 bytes and a round of exact counts 390; a sample's totals take 16.
+# some 230 bytes and a round of exact counts 192; a sample's totals take 16.
 _MAX_ROUNDS, _MAX_SAMPLES = 1_000_000, 10_000_000
 
 # Monte Carlo samples per lockstep rollout, fewer past 512 rounds: at most 8 MB of
@@ -340,7 +340,8 @@ def expected_outcomes(spec_a: StrategySpec, spec_b: StrategySpec, rounds: int) -
     walked = _walk(spec_a, spec_b, rounds, 1.0, split, record, settle=True)
     counts = np.empty((rounds, 24))
     counts[:walked], counts[walked:] = rows, rows[-1]
-    return np.cumsum(counts.reshape(rounds, 2, 12), axis=0)
+    counts = counts.reshape(rounds, 2, 12)
+    return np.cumsum(counts, axis=0, out=counts)  # in place: one array of counts at the peak
 
 
 def exact_expected_payoffs(

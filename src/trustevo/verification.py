@@ -10,7 +10,7 @@ distinct strategy pair is walked once, to the longest grid match, and priced
 against all grid games in one product; ALLC v ALLD serves every (theta, p)
 cell from one walk.  The closed forms price the whole grid as one
 ``payoff_tables`` stack, theta and p given per game as the sweeps give them,
-and each (theta, p) cell is compared as one array sliced from it.
+and the whole grid is compared as one array gathered to that stack's rows.
 """
 
 from __future__ import annotations
@@ -84,31 +84,30 @@ def run_oracle_verification() -> OracleReport:
     prices = np.array([outcome_payoffs(game) for game in games])
     terms = np.array([(*g.scaled_payoffs(), g.expected_rounds, g.check_cost) for g in games])
     cells = list(product(GRID_THRESHOLDS, GRID_CHECK_PROBS))
-    kept_games = [[g for g, (r, _, _) in enumerate(grid) if r > theta] for theta, _ in cells]
-    columns = [(*terms[g], theta, p) for (theta, p), kept in zip(cells, kept_games) for g in kept]
-    stack = payoff_tables([s.kind for s in strategy_pool(*cells[0])], *np.array(columns).T)
-    offsets = np.cumsum([len(kept) for kept in kept_games])[:-1]
-    priced = {}  # (a, b) -> (games, 2) mean payoffs of a and b in each grid game
-    comparisons = failures = 0
-    worst, worst_at = 0.0, ""
-    for (theta, p), kept, tables in zip(cells, kept_games, np.split(stack, offsets)):
-        pool = strategy_pool(theta, p)
-        pairs = list(combinations_with_replacement(pool, 2))
-        for a, b in pairs:
-            if (a, b) not in priced:
-                counts = expected_outcomes(a, b, max(GRID_ROUNDS))
-                priced[a, b] = (counts[rounds - 1] @ prices[:, :, None])[..., 0] / rounds[:, None]
-        exact = np.array([priced[pair][kept] for pair in pairs])
-        rows, cols = np.triu_indices(len(pool))  # the pairs' pool indices, in order
-        analytic = tables[:, [rows, cols], [cols, rows]].transpose(2, 0, 1)  # as exact
-        ratio = _tolerance_ratio(analytic, exact, TOLERANCE)
-        comparisons += ratio.size
-        failures += ratio.size - np.count_nonzero(ratio <= 1.0)
-        at = np.unravel_index(np.argmax(ratio), ratio.shape)  # the first NaN, if any
-        if not np.isnan(worst) and not ratio[at] <= worst:
-            worst = float(ratio[at])
-            row, col = pairs[at[0]][::-1] if at[2] else pairs[at[0]]
-            worst_at = "{} v {}, theta={}, p={}, rounds={}, cost={}, scale={}".format(
-                row.label, col.label, theta, p, *grid[kept[at[1]]]
-            )
-    return OracleReport(comparisons, int(failures), worst, worst_at)
+    kept = rounds > np.array([theta for theta, _ in cells])[:, None]  # (cells, games)
+    at_cell, at_game = np.nonzero(kept)  # each stack row's cell and game
+    columns = np.column_stack((terms[at_game], np.array(cells)[at_cell]))
+    stack = payoff_tables([s.kind for s in strategy_pool(*cells[0])], *columns.T)
+    walks = {}  # (a, b) -> index of its walk, in first-seen cell order
+    walk_of = np.array([  # (cells, pairs)
+        [walks.setdefault(pair, len(walks)) for pair in combinations_with_replacement(pool, 2)]
+        for pool in (strategy_pool(*cell) for cell in cells)
+    ])
+    priced = np.empty((len(walks), len(grid), 2))  # mean payoffs of a and b in each grid game
+    for walk, (a, b) in enumerate(walks):
+        counts = expected_outcomes(a, b, max(GRID_ROUNDS))
+        priced[walk] = (counts[rounds - 1] @ prices[:, :, None])[..., 0] / rounds[:, None]
+    exact = priced[walk_of[at_cell], at_game[:, None]]  # (stack rows, pairs, 2)
+    rows, cols = np.triu_indices(stack.shape[-1])  # the pairs' pool indices, in order
+    analytic = stack[:, [rows, cols], [cols, rows]].transpose(0, 2, 1)  # as exact
+    ratio = _tolerance_ratio(analytic, exact, TOLERANCE)
+    failures = ratio.size - np.count_nonzero(ratio <= 1.0)
+    ordered = np.zeros((len(cells), len(rows), len(grid), 2))  # (cell, pair, game, side)
+    ordered.transpose(0, 2, 1, 3)[kept] = ratio  # skipped games read 0
+    cell, pair, game, side = at = np.unravel_index(np.argmax(ordered), ordered.shape)
+    row, col = list(walks)[walk_of[cell, pair]][:: -1 if side else 1]
+    where = "{} v {}, theta={}, p={}, rounds={}, cost={}, scale={}".format(
+        row.label, col.label, *cells[cell], *grid[game]
+    )  # the first NaN or the first largest ratio, in (cell, pair, game, side) order
+    worst = float(ordered[at])
+    return OracleReport(ratio.size, int(failures), worst, "" if worst <= 0.0 else where)

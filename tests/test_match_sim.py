@@ -297,6 +297,20 @@ class TestExpectedOutcomes:
             with pytest.raises(ParameterDomainError):
                 expected_outcomes(ALLC, ALLD, rounds)
 
+    def test_counts_are_summed_in_place(self):
+        """The cumulative sum overwrites the per-round counts, so 100,000
+        rounds peak at one 18.3 MiB array, where a separate sum held two."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            counts = expected_outcomes(ALLC, ALLD, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (100_000, 2, 12) and counts[-1].sum() == 200_000
+        assert counts.nbytes <= peak < 20 * 2**20
+
     def test_verify_walks_each_distinct_pair_once(self, monkeypatch):
         """One walk per distinct pair: 6 among ALLC, ALLD and TFT, 4 TUD
         pairs per theta and 5 TUC pairs per (theta, p): 6 + 16 + 100 = 122.
@@ -384,17 +398,81 @@ def _scalar_verification(tolerance=1e-10):
 def _nan_in_tables(row, col, game):
     """``payoff_tables`` with the (row, col) entry of ``game`` set to NaN at
     the stack row of ``game`` in the pair's (theta, p) cell."""
+    return _nans_in_tables((row, col, game, row.trust_threshold, col.check_prob))
+
+
+def _nans_in_tables(*entries):
+    """``payoff_tables`` with NaN at each ``(row, col, game, theta, p)``
+    entry: the (row, col) entry at the one stack row of ``game`` in the
+    (theta, p) cell."""
     from trustevo.payoffs import payoff_tables
 
-    def tables(kinds, t, r, p, s, n, eps, theta, check):
-        values = payoff_tables(kinds, t, r, p, s, n, eps, theta, check)
-        point = (*game.scaled_payoffs(), game.expected_rounds, game.check_cost)
-        cell = (row.trust_threshold, col.check_prob)
-        at = np.all(np.transpose([t, r, p, s, n, eps, theta, check]) == (*point, *cell), axis=1)
-        values[at, kinds.index(row.kind), kinds.index(col.kind)] = math.nan
+    def tables(kinds, *columns):
+        values = payoff_tables(kinds, *columns)
+        for row, col, game, *cell in entries:
+            point = (*game.scaled_payoffs(), game.expected_rounds, game.check_cost, *cell)
+            at = np.all(np.transpose(columns) == point, axis=1)
+            assert np.count_nonzero(at) == 1
+            values[at, kinds.index(row.kind), kinds.index(col.kind)] = math.nan
         return values
 
     return tables
+
+
+def _frozen_verification():
+    """``run_oracle_verification`` as it compared the grid one (theta, p)
+    cell at a time, frozen to pin the whole-grid comparison's report byte for
+    byte: ``(comparisons, failures, worst.hex(), worst_at)``.  The grid,
+    ``payoff_tables``, ``expected_outcomes`` and ``_tolerance_ratio`` are
+    read from the module at call time, so a patch reaches both."""
+    import trustevo.verification as v
+
+    grid = list(itertools.product(v.GRID_ROUNDS, v.GRID_CHECK_COSTS, v.GRID_SCALES))
+    games = [
+        GameSpec(payoff_scale=scale, check_cost=cost, expected_rounds=float(rounds))
+        for rounds, cost, scale in grid
+    ]
+    rounds = np.array([r for r, _, _ in grid])
+    prices = np.array([outcome_payoffs(game) for game in games])
+    terms = np.array([(*g.scaled_payoffs(), g.expected_rounds, g.check_cost) for g in games])
+    cells = list(itertools.product(v.GRID_THRESHOLDS, v.GRID_CHECK_PROBS))
+    kept_games = [[g for g, (r, _, _) in enumerate(grid) if r > theta] for theta, _ in cells]
+    columns = [(*terms[g], theta, p) for (theta, p), kept in zip(cells, kept_games) for g in kept]
+    stack = v.payoff_tables([s.kind for s in strategy_pool(*cells[0])], *np.array(columns).T)
+    offsets = np.cumsum([len(kept) for kept in kept_games])[:-1]
+    priced = {}  # (a, b) -> (games, 2) mean payoffs of a and b in each grid game
+    comparisons = failures = 0
+    worst, worst_at = 0.0, ""
+    for (theta, p), kept, tables in zip(cells, kept_games, np.split(stack, offsets)):
+        pool = strategy_pool(theta, p)
+        pairs = list(itertools.combinations_with_replacement(pool, 2))
+        for a, b in pairs:
+            if (a, b) not in priced:
+                counts = v.expected_outcomes(a, b, max(v.GRID_ROUNDS))
+                priced[a, b] = (counts[rounds - 1] @ prices[:, :, None])[..., 0] / rounds[:, None]
+        exact = np.array([priced[pair][kept] for pair in pairs])
+        rows, cols = np.triu_indices(len(pool))  # the pairs' pool indices, in order
+        analytic = tables[:, [rows, cols], [cols, rows]].transpose(2, 0, 1)  # as exact
+        ratio = v._tolerance_ratio(analytic, exact, v.TOLERANCE)
+        comparisons += ratio.size
+        failures += ratio.size - np.count_nonzero(ratio <= 1.0)
+        at = np.unravel_index(np.argmax(ratio), ratio.shape)  # the first NaN, if any
+        if not np.isnan(worst) and not ratio[at] <= worst:
+            worst = float(ratio[at])
+            row, col = pairs[at[0]][::-1] if at[2] else pairs[at[0]]
+            worst_at = "{} v {}, theta={}, p={}, rounds={}, cost={}, scale={}".format(
+                row.label, col.label, theta, p, *grid[kept[at[1]]]
+            )
+    return comparisons, int(failures), worst.hex(), worst_at
+
+
+def _report_equals_the_frozen_loop():
+    report = run_oracle_verification()
+    worst = report.worst_tolerance_ratio
+    assert (report.comparisons, report.failures, worst.hex(), report.worst_at) == (
+        _frozen_verification()
+    )
+    return report
 
 
 class TestOracleVerification:
@@ -433,6 +511,72 @@ class TestOracleVerification:
         assert report.failures == failures == 1
         assert math.isnan(report.worst_tolerance_ratio) and math.isnan(worst)
         assert report.worst_at == "TUD v TUC, theta=3, p=0.25, rounds=20, cost=0.25, scale=1.0"
+
+    def test_the_full_grid_equals_the_frozen_loop(self):
+        report = _report_equals_the_frozen_loop()
+        assert report.comparisons == 17550 and report.ok
+
+    def test_the_small_grid_equals_the_frozen_loop(self, small_grid):
+        report = _report_equals_the_frozen_loop()
+        assert report.comparisons == 1080 and report.ok and report.worst_at
+
+    def test_a_nan_entry_equals_the_frozen_loop(self, small_grid, monkeypatch):
+        game = make_prisoners_dilemma(expected_rounds=20.0)
+        monkeypatch.setattr(
+            small_grid, "payoff_tables", _nan_in_tables(tud(3), tuc(3, 0.25), game)
+        )
+        report = _report_equals_the_frozen_loop()
+        assert report.failures == 1 and math.isnan(report.worst_tolerance_ratio)
+
+    @pytest.mark.parametrize(
+        "entries, where",
+        [
+            pytest.param(
+                [(tuc(3, 0.0), tud(3), 20.0, 0.0), (ALLC, ALLD, 20.0, 0.25)],
+                "TUC v TUD, theta=3, p=0.0, rounds=20, cost=0.25, scale=1.0",
+                id="an earlier cell before an earlier pair",
+            ),
+            pytest.param(
+                [(tuc(3, 0.25), tud(3), 5.0, 0.25), (ALLC, ALLD, 20.0, 0.25)],
+                "ALLC v ALLD, theta=3, p=0.25, rounds=20, cost=0.25, scale=1.0",
+                id="an earlier pair before an earlier game",
+            ),
+            pytest.param(
+                [(tud(3), tuc(3, 0.25), 5.0, 0.25), (tuc(3, 0.25), tud(3), 5.0, 0.25)],
+                "TUC v TUD, theta=3, p=0.25, rounds=5, cost=0.25, scale=1.0",
+                id="side 0 before side 1",
+            ),
+        ],
+    )
+    def test_the_first_of_several_nans_is_named(self, small_grid, monkeypatch, entries, where):
+        """NaNs tie for worst, so the order of the search names one: cell,
+        then pair, then game, then side, as the cell-by-cell loop found it."""
+        nans = [
+            (row, col, make_prisoners_dilemma(expected_rounds=rounds), 3, p)
+            for row, col, rounds, p in entries
+        ]
+        monkeypatch.setattr(small_grid, "payoff_tables", _nans_in_tables(*nans))
+        report = _report_equals_the_frozen_loop()
+        assert report.failures == 2 and math.isnan(report.worst_tolerance_ratio)
+        assert report.worst_at == where
+
+    @pytest.mark.parametrize("value", [0.5, 2.0])
+    def test_a_tie_everywhere_names_the_first_entry(self, small_grid, monkeypatch, value):
+        monkeypatch.setattr(
+            small_grid, "_tolerance_ratio", lambda analytic, exact, _: np.full(exact.shape, value)
+        )
+        report = _report_equals_the_frozen_loop()
+        assert report.failures == (report.comparisons if value > 1 else 0)
+        assert report.worst_tolerance_ratio == value
+        assert report.worst_at == "ALLC v ALLC, theta=3, p=0.0, rounds=5, cost=0.0, scale=0.1"
+
+    def test_all_zero_ratios_name_no_entry(self, small_grid, monkeypatch):
+        monkeypatch.setattr(
+            small_grid, "_tolerance_ratio", lambda analytic, exact, _: np.zeros(exact.shape)
+        )
+        report = _report_equals_the_frozen_loop()
+        assert report.worst_tolerance_ratio.hex() == (0.0).hex() and report.worst_at == ""
+        assert report.ok
 
     def test_worst_deviation_names_its_grid_point(self):
         """The location is a grid entry whose own ratio is the worst one."""
