@@ -37,9 +37,10 @@ from .errors import NumericalError, ParameterDomainError, first_failure, require
 # Largest exponent fed to exp() before the fixation sum switches to its
 # log-space evaluation; exp overflows near 709.
 _EXP_GUARD = 700.0
-# A kernel slice's budget of fixation terms, 8 bytes each, two series of
-# N - 1 terms a distinct pair: 165 pairs (256 kB) at N=100, 16 at N=1000.
-_CHUNK_ELEMENTS = 32_768
+# A stack slice's budget of fixation terms, two series of N - 1 a distinct pair (82
+# pairs at N=100, 8 at N=1000): it bounds a slice's working set to some 340 kB, which
+# glibc reuses in place; at 32,768 terms it trimmed the heap top and refaulted it.
+_CHUNK_ELEMENTS = 16_384
 _eye = functools.cache(np.eye)  # read only: a solve subtracts it
 # Largest population size: a report's fixation sums take some 330 bytes a member.
 _MAX_POPULATION = 1_000_000
@@ -99,10 +100,8 @@ def fermi_probability(payoff_diff: float, beta: float) -> float:
     if not (math.isfinite(payoff_diff) and 0 <= beta < np.inf):
         raise ParameterDomainError(f"need a finite diff and beta >= 0, got {payoff_diff}, {beta}")
     x = beta * payoff_diff
-    if x >= 0:
-        return float(1.0 / (1.0 + np.exp(-x)))
-    e = np.exp(x)
-    return float(e / (1.0 + e))
+    e = np.exp(-abs(x))  # never overflows
+    return float((1.0 if x >= 0 else e) / (1.0 + e))
 
 
 def _fixation_sums(args: np.ndarray) -> np.ndarray:
@@ -153,20 +152,11 @@ def _pair_index(size: int) -> np.ndarray:
     return np.stack([r, r, m, m], axis=-1) * size + np.stack([r, m, r, m], axis=-1)
 
 
-def pair_fixation(pairs: np.ndarray, params: EvolutionParams) -> np.ndarray:
-    """``(..., 2)``: probability that one m-mutant takes over r-residents, then
-    that one r-mutant takes over m-residents, for each sub-table (pi_rr, pi_rm,
-    pi_mr, pi_mm) of ``pairs``.
-
-    Follows ``group_payoffs`` operation for operation: r-mutants at N - k
-    among m-residents multiply the same operands as m-mutants at k (N - k and
-    k - 1 are exact), so their advantage is m's negated and reversed, bit for
-    bit, and one series serves both directions.
-    """
-    n = params.population_size
+def _advantage(pairs: np.ndarray, n: int) -> np.ndarray:
+    """``(..., N - 1)``: m-mutants' payoff advantage over r-residents at k = 1 .. N - 1 mutants
+    for each sub-table (pi_rr, pi_rm, pi_mr, pi_mm): ``group_payoffs``' pi_a - pi_b, bit for bit."""
     k = np.arange(1, n, dtype=float)
     own_r, v_rm, v_mr, own_m = (pairs[..., i, None] for i in range(4))
-    # Axis -2 holds m invading r, then r invading m; axis -1 the count k of m-mutants.
     advantage = np.multiply(v_mr, n - k)  # contiguous, so each pass runs at full speed
     advantage += (k - 1) * own_m
     advantage /= n - 1
@@ -174,7 +164,17 @@ def pair_fixation(pairs: np.ndarray, params: EvolutionParams) -> np.ndarray:
     resident += (n - k - 1) * own_r
     resident /= n - 1
     advantage -= resident
-    args = np.empty((*pairs.shape[:-1], 2, n - 1))
+    return advantage
+
+
+def pair_fixation(pairs: np.ndarray, params: EvolutionParams) -> np.ndarray:
+    """``(..., 2)``: probability that one m-mutant takes over r-residents, then one
+    r-mutant over m-residents, for each sub-table of ``pairs``.  r-mutants at N - k
+    multiply the operands of m-mutants at k (N - k and k - 1 are exact), so one
+    advantage series, negated and reversed, serves both directions bit for bit."""
+    advantage = _advantage(pairs, params.population_size)
+    # Axis -2 holds m invading r, then r invading m; axis -1 the count k of m-mutants.
+    args = np.empty((*advantage.shape[:-1], 2, advantage.shape[-1]))
     args[..., 0, :] = advantage
     np.negative(advantage[..., ::-1], out=args[..., 1, :])
     np.add.accumulate(args, axis=-1, out=args)
@@ -323,11 +323,11 @@ def simulate_fixation(
     require_int("seed", seed, 0)
     n = params.population_size
     values = _check_table(values, n, mutant=mutant, resident=resident)
-    beta = params.selection_strength
-    up = np.empty(n - 1)
-    for k in range(1, n):
-        pi_m, pi_r = group_payoffs(values, mutant, resident, k, n)
-        up[k - 1] = fermi_probability(pi_m - pi_r, beta)
+    r, m = resident, mutant
+    with np.errstate(over="ignore"):  # beyond the float range the Fermi limits are exact
+        x = params.selection_strength * _advantage(values[(r, r, m, m), (r, m, r, m)], n)
+    e = np.exp(-np.abs(x))  # ``fermi_probability``, element for element
+    up = np.where(x >= 0, 1.0, e) / (1.0 + e)
     binomial = np.random.Generator(np.random.PCG64(seed)).binomial
     runs_at = np.zeros(n + 1, dtype=np.int64)
     runs_at[1] = runs

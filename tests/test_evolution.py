@@ -544,6 +544,38 @@ class TestStacks:
         assert sum(sizes) == len(distinct)
         assert max(sizes) <= max(1, chunk // (2 * (n - 1)))
 
+    @pytest.mark.parametrize("n", [20, 100, 1000])
+    def test_a_full_slice_peaks_under_450_kB(self, n):
+        """One stack slice of ``_CHUNK_ELEMENTS`` terms keeps its temporaries
+        near 340 kB: glibc then reuses them in place, where a 650 kB slice was
+        freed at the heap top, trimmed and faulted back in on the next slice."""
+        import tracemalloc
+
+        slice_pairs = evolution._CHUNK_ELEMENTS // (2 * (n - 1))
+        pairs = np.random.default_rng(n).uniform(-3.0, 3.0, (slice_pairs, 4))
+        tracemalloc.start()
+        try:
+            rho = evolution.pair_fixation(pairs, EvolutionParams(n, 0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rho.shape == (slice_pairs, 2)
+        assert peak < 450_000
+
+    def test_a_table_is_one_kernel_call_and_a_stack_is_sliced(self):
+        """At N = 1000 a 5x5 table's 10 pairs (19,980 terms, over the slice
+        budget) are still summed in one call, so point queries pay no slices;
+        a stack's distinct pairs go in slices of 8."""
+        assert 10 * 2 * 999 > evolution._CHUNK_ELEMENTS
+        params = EvolutionParams(1000, 0.1)
+        stack = np.stack([DEFAULT_VALUES, DEFAULT_VALUES + 1.0, DEFAULT_VALUES * 2.0])
+        with mock.patch.object(evolution, "pair_fixation", wraps=evolution.pair_fixation) as kernel:
+            evolution.fixation_matrix(DEFAULT_VALUES, params)
+            assert [call.args[0].shape for call in kernel.call_args_list] == [(10, 4)]
+            kernel.reset_mock()
+            evolution.fixation_matrix(stack, params)
+        assert [len(call.args[0]) for call in kernel.call_args_list] == [8, 8, 8, 6]
+
     @pytest.mark.parametrize(
         "convert", [np.ndarray.tolist, lambda a: a.astype(np.int64), lambda a: a.astype(np.float32)]
     )
@@ -877,6 +909,41 @@ class TestSimulateFixation:
             got = simulate_fixation(DEFAULT_VALUES, mutant, resident, params, runs=300, seed=seed)
             expected = _frozen_simulate_fixation(DEFAULT_VALUES, mutant, resident, params, 300, seed)
             assert got.hex() == expected.hex(), (mutant, resident, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=arrays(np.float64, (5, 5), elements=st.floats(-10.0, 10.0)),
+        mutant=st.integers(0, 4),
+        resident=st.integers(0, 4),
+        n=st.integers(2, 400),
+        beta=st.floats(-3.0, 1.0).map(lambda e: 10.0**e) | st.sampled_from([0.0, 1e300]),
+    )
+    def test_step_probabilities_equal_the_scalar_loop(self, values, mutant, resident, n, beta):
+        """The step probabilities the draws read are ``fermi_probability`` of
+        ``group_payoffs``' difference at every count, bit for bit; at beta =
+        1e300 the exponents overflow to the exact limits without a warning.
+        The generator is replaced by one that stops at the first draw: a game
+        with a stable mixture can take very long to absorb at large N."""
+        expected = np.empty(n - 1)
+        for k in range(1, n):
+            pi_m, pi_r = group_payoffs(values, mutant, resident, k, n)
+            expected[k - 1] = fermi_probability(pi_m - pi_r, beta)
+        drawn = []
+
+        class Drawn(Exception):
+            pass
+
+        class FirstDraw:
+            def __init__(self, bits):
+                pass
+
+            def binomial(self, count, up):
+                drawn.append(up.copy())
+                raise Drawn
+
+        with mock.patch.object(np.random, "Generator", FirstDraw), pytest.raises(Drawn):
+            simulate_fixation(values, mutant, resident, EvolutionParams(n, beta), runs=1)
+        assert drawn[0].tobytes() == expected.tobytes()
 
     def test_runs_are_bounded_by_the_int64_counts(self):
         """Counts of runs are int64: 2^63 - 1 runs are taken, one more are
