@@ -910,6 +910,20 @@ class TestSimulateFixation:
             expected = _frozen_simulate_fixation(DEFAULT_VALUES, mutant, resident, params, 300, seed)
             assert got.hex() == expected.hex(), (mutant, resident, seed)
 
+    @pytest.mark.parametrize("n", [2, 3, 20, 100])
+    @pytest.mark.parametrize("beta", [0.0, 0.1, 5.0])
+    def test_scalar_tail_bytes_equal_the_frozen_loop(self, n, beta):
+        """At most ``_TAIL_RUNS`` live runs are moved by scalar draws: from
+        the start (1 and 32 runs), from the second step (33 runs) and after
+        hundreds of steps (the oracles workload's 10,000 runs), each seeded
+        frequency is still the frozen loop's, bit for bit."""
+        params = EvolutionParams(n, beta)
+        for runs in (1, evolution._TAIL_RUNS, evolution._TAIL_RUNS + 1, 10_000):
+            for (mutant, resident), seed in itertools.product(((1, 0), (3, 1), (4, 2)), (1, 7)):
+                got = simulate_fixation(DEFAULT_VALUES, mutant, resident, params, runs=runs, seed=seed)
+                expected = _frozen_simulate_fixation(DEFAULT_VALUES, mutant, resident, params, runs, seed)
+                assert got.hex() == expected.hex(), (runs, mutant, resident, seed)
+
     @settings(max_examples=60, deadline=None)
     @given(
         values=arrays(np.float64, (5, 5), elements=st.floats(-10.0, 10.0)),
@@ -942,14 +956,22 @@ class TestSimulateFixation:
                 raise Drawn
 
         with mock.patch.object(np.random, "Generator", FirstDraw), pytest.raises(Drawn):
-            simulate_fixation(values, mutant, resident, EvolutionParams(n, beta), runs=1)
+            simulate_fixation(
+                values, mutant, resident, EvolutionParams(n, beta), runs=evolution._TAIL_RUNS + 1
+            )
         assert drawn[0].tobytes() == expected.tobytes()
 
     def test_runs_are_bounded_by_the_int64_counts(self):
         """Counts of runs are int64: 2^63 - 1 runs are taken, one more are
-        refused before any work."""
+        refused before any work.  The frequency is the frozen loop's int64
+        division, bit for bit: at 10^18 runs and seed 2 Python's int / int of
+        the same counts rounds one unit lower."""
         params = EvolutionParams(3, 0.1)
-        assert 0.0 < simulate_fixation(DEFAULT_VALUES, 3, 1, params, runs=2**63 - 1) < 1.0
+        for runs, seed in ((2**63 - 1, 0), (10**18, 2)):
+            got = simulate_fixation(DEFAULT_VALUES, 3, 1, params, runs=runs, seed=seed)
+            expected = _frozen_simulate_fixation(DEFAULT_VALUES, 3, 1, params, runs, seed)
+            assert 0.0 < got < 1.0
+            assert got.hex() == expected.hex(), runs
         for runs in (2**63, 2**70):
             with pytest.raises(ParameterDomainError, match=f"runs must be at most {2**63 - 1}, got {runs}$"):
                 simulate_fixation(DEFAULT_VALUES, 3, 1, params, runs=runs)
