@@ -59,7 +59,7 @@ from .strategies import (
     tuc,
     tud,
 )
-from .sweep import SweepConfig, parse_config, preset_config, run_sweep
+from .sweep import SweepConfig, SweepTable, parse_config, preset_config, run_sweep
 from .verification import run_oracle_verification
 
 __version__ = "0.1.0"
@@ -84,6 +84,7 @@ __all__ = [
     "StrategySpec",
     "StrategyState",
     "SweepConfig",
+    "SweepTable",
     "ALLC",
     "ALLD",
     "TFT",

@@ -3,7 +3,8 @@
 Subcommands cover the full pipeline: ``payoff-matrix``, ``fixation``,
 ``stationary``, ``coop-report``, ``sweep``, ``simulate`` and ``verify``.
 Options come from ``sweep.SECTIONS``; each subcommand returns rows, which
-``sweep.write_rows`` writes as CSV to stdout or ``--out``.  Exit codes: 0 on
+``sweep.write_rows`` writes as CSV to stdout or ``--out``, or, for ``sweep``,
+a table, which ``sweep.write_csv`` writes.  Exit codes: 0 on
 success, 1 for configuration or usage problems, 2 for numerical failures; a
 NaN or infinite result is one, and leaves stdout empty.
 """
@@ -36,10 +37,11 @@ from .sweep import (
     PRESETS,
     SECTIONS,
     SweepConfig,
+    SweepTable,
     parse_config,
     preset_config,
     run_sweep,
-    sweep_table,
+    write_csv,
     write_rows,
 )
 from .verification import run_oracle_verification
@@ -106,8 +108,8 @@ def _cmd_coop_report(args):
 
 def _cmd_sweep(args):
     if args.preset is not None:
-        return sweep_table(run_sweep(preset_config(args.preset)))
-    return sweep_table(run_sweep(parse_config(args.config)))
+        return run_sweep(preset_config(args.preset))
+    return run_sweep(parse_config(args.config))
 
 
 def _cmd_simulate(args):
@@ -208,7 +210,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        write_rows(_SUBCOMMANDS[args.command][0](args), args.out)
+        output = _SUBCOMMANDS[args.command][0](args)
+        (write_csv if isinstance(output, SweepTable) else write_rows)(output, args.out)
         return getattr(args, "status", 0)
     except (
         ConfigError,

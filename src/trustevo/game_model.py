@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import (
     AlternationDominanceError,
     DilemmaViolationError,
@@ -52,33 +54,7 @@ class GameSpec:
     expected_rounds: float = 50.0
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not math.isfinite(value):
-                raise ParameterDomainError(f"{field.name} must be finite, got {value}")
-        if not self.payoff_scale > 0:
-            raise ParameterDomainError(
-                f"payoff_scale must be positive, got {self.payoff_scale}"
-            )
-        if self.check_cost < 0:
-            raise ParameterDomainError(
-                f"check_cost must be non-negative, got {self.check_cost}"
-            )
-        if not self.expected_rounds >= 1:
-            raise ParameterDomainError(
-                f"expected_rounds must be at least 1, got {self.expected_rounds}"
-            )
-        t, r, p, s = self.temptation, self.reward, self.punishment, self.sucker
-        if not t > r:
-            raise DilemmaViolationError(f"need temptation > reward, got {t} <= {r}")
-        if not r > p:
-            raise DilemmaViolationError(f"need reward > punishment, got {r} <= {p}")
-        if not p > s:
-            raise DilemmaViolationError(f"need punishment > sucker, got {p} <= {s}")
-        if not 2 * r > t + s:
-            raise AlternationDominanceError(
-                f"need 2*reward > temptation + sucker, got {2 * r} <= {t + s}"
-            )
+        check_game(*vars(self).values())
 
     def scaled_payoffs(self) -> tuple[float, float, float, float]:
         """Return the scaled table (T, R, P, S), each multiplied by the scale."""
@@ -93,6 +69,48 @@ class GameSpec:
     def simulation_rounds(self) -> int:
         """Expected round count rounded to the nearest integer, for simulation."""
         return max(1, int(round(self.expected_rounds)))
+
+
+_FIELDS = tuple(field.name for field in fields(GameSpec))
+# GameSpec's rules in the order they are checked: the error each raises and its
+# message, formatted from the game's fields and from 2R and T + S.
+_RULES = (
+    *((ParameterDomainError, f"{name} must be finite, got {{{name}}}") for name in _FIELDS),
+    (ParameterDomainError, "payoff_scale must be positive, got {payoff_scale}"),
+    (ParameterDomainError, "check_cost must be non-negative, got {check_cost}"),
+    (ParameterDomainError, "expected_rounds must be at least 1, got {expected_rounds}"),
+    (DilemmaViolationError, "need temptation > reward, got {temptation} <= {reward}"),
+    (DilemmaViolationError, "need reward > punishment, got {reward} <= {punishment}"),
+    (DilemmaViolationError, "need punishment > sucker, got {punishment} <= {sucker}"),
+    (AlternationDominanceError, "need 2*reward > temptation + sucker, got {twice} <= {sum}"),
+)
+
+
+def _rules_held(t, r, p, s, scale, cost, rounds) -> tuple:
+    """Whether each rule holds, in ``_RULES`` order: floats, or elementwise arrays."""
+    return (
+        *(abs(v) < math.inf for v in (t, r, p, s, scale, cost, rounds)),
+        scale > 0, cost >= 0, rounds >= 1, t > r, r > p, p > s, 2 * r > t + s,
+    )
+
+
+def check_game(
+    temptation, reward, punishment, sucker, payoff_scale, check_cost, expected_rounds
+) -> None:
+    """Raise the error of the first rule of :class:`GameSpec` a game breaks: one
+    game's numbers, or per-point arrays of one shape checked elementwise, whose
+    first point that breaks a rule is then checked alone."""
+    values = (temptation, reward, punishment, sucker, payoff_scale, check_cost, expected_rounds)
+    if isinstance(temptation, np.ndarray):
+        with np.errstate(over="ignore"):  # an overflowed 2R or T + S breaks its rule
+            broken = ~np.logical_and.reduce(_rules_held(*values))
+        if broken.any():
+            check_game(*(v[broken.argmax()] for v in values))
+        return
+    for held, (error, message) in zip(_rules_held(*values), _RULES):
+        if not held:
+            twice, total = 2 * reward, temptation + sucker
+            raise error(message.format(**dict(zip(_FIELDS, values)), twice=twice, sum=total))
 
 
 # Another name for the class: ``make_prisoners_dilemma()`` is ``GameSpec()``.

@@ -3,13 +3,17 @@
 A sweep takes a base parameter set, a list of named axes, and evaluates the
 full pipeline (payoff table, fixation chain, stationary distribution,
 cooperation report) at every grid point, as ``cooperation_report`` does,
-bit for bit.  Consecutive points that share N and beta run as stacks of up
-to ``_STACK_POINTS`` through ``pool_cooperation``, the path of a single
-point; a refused point raises naming its axis values, the first in grid
-order, found by halving the refused stack (at most 3n points summed for a
-stack of n).  Grid order is row-major in the listed axis order with the last
-axis varying fastest; nothing is random, so a sweep is byte-identical run to
-run.
+bit for bit.  The grid is built as one float64 column per parameter, in
+row-major order in the listed axis order with the last axis varying fastest,
+inside the ``(points, 19)`` array of a :class:`SweepTable`, whose last eight
+columns the evaluation fills in.  Runs of points that share N and beta are
+evaluated as stacks of up to ``_STACK_POINTS`` through ``pool_cooperation``,
+the path of a single point; each stack's games are checked elementwise by
+``GameSpec``'s rules and each distinct strategy pool is built once.  A
+refused point raises naming its axis values, the first in grid order, found
+by halving the refused stack (at most 3n points summed for a stack of n);
+its error is raised from its own base and axis values, so an int prints as
+one.  Nothing is random, so a sweep is byte-identical run to run.
 
 The eleven base parameters are listed once, by INI section, in ``SECTIONS``:
 the :class:`GameSpec` fields under ``[game]`` (defaults from ``GameSpec()``),
@@ -21,27 +25,28 @@ the parameter name without the section prefix (``[trust] threshold`` is
 axis, whose values are an explicit comma list, ``lin:start:stop:count`` or
 ``log:start:stop:count``.  ``population`` and ``trust_threshold`` take whole
 numbers, as base values and on axes alike: a fraction, NaN or infinity
-raises ``ConfigError``.  :func:`write_rows` writes the sweep's CSV and every
-command line table, and refuses a NaN or infinite number.
+raises ``ConfigError``.  :func:`write_csv` writes a sweep table and
+:func:`write_rows` every other command line table; both refuse a NaN or
+infinite number before writing anything.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import io
-import itertools
 import math
+import numbers
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .evolution import EvolutionParams
-from .game_model import GameSpec
+from .game_model import GameSpec, check_game
 from .metrics import pool_cooperation, selfplay_cooperation_index, strategy_pool
 from .payoffs import payoff_tables
 
@@ -53,20 +58,27 @@ SECTIONS = {
 _GAME_PARAMS = SECTIONS["game"]
 PARAM_NAMES = tuple(name for names in SECTIONS.values() for name in names)
 _INTEGER_PARAMS = ("population", "trust_threshold")
+_POOL_PARAMS = ("trust_threshold", "check_prob", "expected_rounds")
 
 STRATEGY_ORDER = ("ALLC", "ALLD", "TFT", "TUC", "TUD")
-_OUTPUT_COLUMNS = (
-    *(f"freq_{label}" for label in STRATEGY_ORDER), "coop_with", "coop_without", "coop_delta"
+# The parameters in the order of the table's first columns, sorted by name.
+_COLUMN_PARAMS = tuple(sorted(PARAM_NAMES))
+_COLUMNS = (
+    *(f"param:{name}" for name in _COLUMN_PARAMS),
+    *(f"freq_{label}" for label in STRATEGY_ORDER), "coop_with", "coop_without", "coop_delta",
 )
 
 # Most points a sweep grid or one axis may hold: a one-run grid this size
-# takes about 4 s in ``run_sweep`` and 1.5 s in ``write_csv``, at some 185 MB
+# takes about 2.5-3 s in ``run_sweep`` and 1 s in ``write_csv``, at some 60 MB
 # peak RSS (N=100, two x86_64 CPUs).  A larger count is likelier a typo than a
 # study, and is refused before the axis values or the grid are built.
 _MAX_POINTS = 100_000
 # Most points one stack holds, which bounds its tables, solves and byte match
 # (some 3 kB a point at N=100); the presets' longest run is 252 points.
 _STACK_POINTS = 4096
+# Rows a sweep's CSV formats per write, so that its text is never whole in
+# memory: about 0.5 MB of text; 4,096 rows were no faster and peaked 4 times higher.
+_CSV_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -81,23 +93,23 @@ class SweepConfig:
     axes: tuple[tuple[str, tuple[float, ...]], ...] = ()
 
     def __post_init__(self) -> None:
-        seen = set()
+        axes = {}
         for name, values in self.axes:
             if name not in PARAM_NAMES:
                 raise ConfigError(
                     f"unknown sweep axis {name!r}; valid names: {', '.join(PARAM_NAMES)}"
                 )
-            if name in seen:
+            if name in axes:
                 raise ConfigError(f"sweep axis {name!r} listed twice")
-            if not values:
+            axes[name] = _axis_values(name, values)
+            if not axes[name]:
                 raise ConfigError(f"sweep axis {name!r} has no values")
-            seen.add(name)
+        object.__setattr__(self, "axes", tuple(axes.items()))
         size = math.prod(len(values) for _, values in self.axes)
         if size > _MAX_POINTS:
             raise ConfigError(f"sweep grid has {size} points, more than {_MAX_POINTS}")
         # A fraction would be truncated at evaluation while the CSV kept its
         # unrounded label, so integer parameters take whole values only.
-        axes = dict(self.axes)
         for name in _INTEGER_PARAMS:
             value = getattr(self, name)
             for v in (value, *axes.get(name, ())):
@@ -110,6 +122,23 @@ class SweepConfig:
             name: getattr(self.game if name in _GAME_PARAMS else self, name)
             for name in PARAM_NAMES
         }
+
+
+def _axis_values(name: str, values) -> tuple:
+    """The values of the sweep axis ``name`` in a tuple, each kept as given but
+    for a numpy scalar, which becomes the Python number it holds."""
+    try:
+        if isinstance(values, (str, bytes)):  # these would iterate as characters
+            raise TypeError
+        kept = tuple(v.item() if isinstance(v, np.generic) else v for v in values)
+    except TypeError:
+        raise ConfigError(
+            f"sweep axis {name!r} takes a sequence of numbers, got {values!r}"
+        ) from None
+    for value in kept:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"sweep axis {name!r} holds {value!r}, which is not a number")
+    return kept
 
 
 _CHECK_COSTS = tuple(i / 20 for i in range(21))
@@ -206,68 +235,116 @@ def parse_config(path: str) -> SweepConfig:
     return SweepConfig(game=game, axes=axes, **settings)
 
 
-def _grid_points(config: SweepConfig):
-    """Each point's parameters in grid order, axis values over base values."""
-    base, names = config.base_parameters(), [name for name, _ in config.axes]
-    for values in itertools.product(*(values for _, values in config.axes)):
-        yield {**base, **dict(zip(names, values))}
+@dataclass(frozen=True, eq=False)
+class SweepTable(Sequence):
+    """A sweep's result: ``columns`` in CSV order and one ``(points, 19)`` float64
+    ``values`` array, read as a sequence of ``{column: value}`` rows built on
+    access (a slice gives a table)."""
+
+    columns: tuple[str, ...]
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepTable(self.columns, self.values[index])
+        return dict(zip(self.columns, self.values[index].tolist()))
 
 
-def _evaluate(points: list[dict], names: Sequence[str]) -> list[dict]:
-    """Rows of points sharing N and beta, as one stack through ``pool_cooperation``;
-    each distinct game and strategy pool of the stack is built and checked once.
+def _listed(value) -> list:
+    """A stack's column, or one point's own value, as a list of Python numbers."""
+    return value.tolist() if isinstance(value, np.ndarray) else [value]
+
+
+def _fill(rows: np.ndarray, params) -> None:
+    """Fill ``rows``, points sharing N and beta, as one stack through
+    ``pool_cooperation``, building each distinct strategy pool once.  The checks
+    read ``params``: the stack's columns by name, or one point's own values for
+    its errors to print; the sums read the float columns of ``rows``."""
+    check_game(*(params[name] for name in _GAME_PARAMS))
+    keys, inverse = {}, []  # the distinct (theta, p, rounds) in order, and each point's
+    for key in zip(*(_listed(params[name]) for name in _POOL_PARAMS)):
+        inverse.append(keys.setdefault(key, len(keys)))
+    pools = [strategy_pool(int(theta), prob) for theta, prob, _ in keys]
+    selfplay = np.array([  # also checks theta against the rounds
+        [selfplay_cooperation_index(s, rounds) for s in pool]
+        for pool, (_, _, rounds) in zip(pools, keys)
+    ])
+    column = dict(zip(_COLUMN_PARAMS, rows.T))
+    with np.errstate(over="ignore"):  # payoff_tables names an entry that overflows
+        stakes = [column["payoff_scale"] * column[name] for name in _GAME_PARAMS[:4]]
+    values = payoff_tables(
+        [spec.kind for spec in pools[0]], *stakes,  # T, R, P, S
+        *map(column.get, ("expected_rounds", "check_cost", "trust_threshold", "check_prob")),
+    )
+    population, beta = (_listed(params[name])[0] for name in ("population", "selection_strength"))
+    freqs, _, coop_with, coop_without = pool_cooperation(
+        values, selfplay[inverse], EvolutionParams(int(population), beta)
+    )
+    out = rows[:, len(_COLUMN_PARAMS):]
+    out[:, :5], out[:, 5], out[:, 6], out[:, 7] = (
+        freqs, coop_with, coop_without, coop_with - coop_without
+    )
+
+
+def _evaluate(values: np.ndarray, start: int, stop: int, config: SweepConfig) -> None:
+    """Fill the table rows ``start`` to ``stop``, points sharing N and beta.
 
     A stack is refused exactly when one of its points is refused alone, so a
-    refused stack is halved, first half first, down to its first refused point,
-    whose own error is raised naming its values on the axes ``names``: at most
-    3n points in 2 ceil(log2 n) + 1 stacks.
+    refused stack is halved, first half first, down to its first refused point.
+    Its error is raised again from its own base and axis values, so that an int
+    prints as one, naming its axis values: at most 3n points in
+    2 ceil(log2 n) + 1 stacks.
     """
+    rows = values[start:stop]
     try:
-        for game in set(map(itemgetter(*_GAME_PARAMS), points)):
-            GameSpec(*game)
-        keys = list(map(itemgetter("trust_threshold", "check_prob", "expected_rounds"), points))
-        selfplay = {}
-        for theta, prob, rounds in set(keys):  # also checks theta against the rounds
-            pool = strategy_pool(int(theta), prob)
-            selfplay[theta, prob, rounds] = [selfplay_cooperation_index(s, rounds) for s in pool]
-        column = {name: np.array([row[name] for row in points], dtype=float) for name in points[0]}
-        with np.errstate(over="ignore"):  # payoff_tables names an entry that overflows
-            stakes = [column["payoff_scale"] * column[name] for name in _GAME_PARAMS[:4]]
-        values = payoff_tables(
-            [spec.kind for spec in pool], *stakes,  # T, R, P, S
-            *map(column.get, ("expected_rounds", "check_cost", "trust_threshold", "check_prob")),
-        )
-        params = EvolutionParams(int(points[0]["population"]), points[0]["selection_strength"])
-        indices = [selfplay[key] for key in keys]
-        freqs, _, coop_with, coop_without = pool_cooperation(values, indices, params)
+        _fill(rows, dict(zip(_COLUMN_PARAMS, rows.T)))
     except (ValueError, NumericalError) as exc:
-        if len(points) > 1:
-            half = (len(points) + 1) // 2
-            return _evaluate(points[:half], names) + _evaluate(points[half:], names)
-        at = ", ".join(f"{name}={points[0][name]!r}" for name in names)
+        if stop - start > 1:
+            half = (start + stop + 1) // 2
+            _evaluate(values, start, half, config)
+            _evaluate(values, half, stop, config)
+            return
+        at = np.unravel_index(start, [len(axis) for _, axis in config.axes])
+        point = config.base_parameters()
+        point.update((name, axis[i]) for (name, axis), i in zip(config.axes, at))
+        try:
+            _fill(rows, point)
+        except (ValueError, NumericalError) as own:
+            exc = own
+        at = ", ".join(f"{name}={point[name]!r}" for name, _ in config.axes)
         raise type(exc)(f"{exc} (sweep point {at or 'without axes'})") from None
-    outputs = np.column_stack([freqs, coop_with, coop_without, coop_with - coop_without])
-    columns = (*(f"param:{name}" for name in points[0]), *_OUTPUT_COLUMNS)
-    return [
-        dict(zip(columns, (*row.values(), *out))) for row, out in zip(points, outputs.tolist())
-    ]
 
 
-def run_sweep(config: SweepConfig) -> list[dict]:
+def run_sweep(config: SweepConfig) -> SweepTable:
     """Evaluate every grid point, in deterministic grid order."""
-    rows, names = [], [name for name, _ in config.axes]
-    for _, points in itertools.groupby(
-        _grid_points(config), itemgetter("population", "selection_strength")
-    ):
-        while run := list(itertools.islice(points, _STACK_POINTS)):
-            rows += _evaluate(run, names)
-    return rows
+    sizes = [len(axis) for _, axis in config.axes]
+    values = np.empty((math.prod(sizes), len(_COLUMNS)))
+    grid = values.reshape(*sizes, len(_COLUMNS))
+    base = config.base_parameters()
+    grid[..., :len(_COLUMN_PARAMS)] = [base[name] for name in _COLUMN_PARAMS]
+    for k, (name, axis) in enumerate(config.axes):  # each along its own grid dimension
+        shape = [-1] + [1] * (len(sizes) - k - 1)
+        grid[..., _COLUMN_PARAMS.index(name)] = np.reshape(np.array(axis, float), shape)
+    shared = values[:, [_COLUMN_PARAMS.index(n) for n in ("population", "selection_strength")]]
+    starts = np.flatnonzero(np.any(shared[1:] != shared[:-1], axis=1)) + 1  # each new N or beta
+    bounds = [0, *starts.tolist(), len(values)]
+    for start, stop in zip(bounds, bounds[1:]):
+        for first in range(start, stop, _STACK_POINTS):
+            _evaluate(values, first, min(first + _STACK_POINTS, stop), config)
+    return SweepTable(_COLUMNS, values)
 
 
-def sweep_table(rows: Sequence[dict]) -> list[list]:
-    """The sweep's header row, then each row's values in column order."""
-    columns = sorted(k for k in rows[0] if k.startswith("param:")) + list(_OUTPUT_COLUMNS)
-    return [columns, *([row[c] for c in columns] for row in rows)]
+@contextlib.contextmanager
+def _opened(out: io.TextIOBase | str | None):
+    """``out`` as a stream: a file path opened for writing, or stdout for None."""
+    if isinstance(out, str):
+        with open(out, "w", newline="") as handle:
+            yield handle
+    else:
+        yield sys.stdout if out is None else out
 
 
 def write_rows(rows: Sequence[Sequence], out: io.TextIOBase | str | None = None) -> None:
@@ -287,12 +364,25 @@ def write_rows(rows: Sequence[Sequence], out: io.TextIOBase | str | None = None)
                 value = repr(value)
             cells.append(value)
         lines.append(",".join(cells) + "\n")
-    if isinstance(out, str):
-        with open(out, "w", newline="") as handle:
-            handle.write("".join(lines))
-    else:
-        (sys.stdout if out is None else out).write("".join(lines))
+    with _opened(out) as handle:
+        handle.write("".join(lines))
 
 
-def write_csv(rows: Sequence[dict], stream: io.TextIOBase) -> None:
-    write_rows(sweep_table(rows), stream)
+def write_csv(table: SweepTable, out: io.TextIOBase | str | None = None) -> None:
+    """Write a sweep table as CSV, its header then one line per row, to a
+    stream, a file path, or stdout (None), each number as its ``repr``.
+
+    A NaN or infinite value raises ``NumericalError`` naming the first such
+    line (the header is line 1) before anything is written; the lines are then
+    written in blocks of ``_CSV_BLOCK`` rows.
+    """
+    finite = np.isfinite(table.values)
+    if not finite.all():
+        row, column = np.argwhere(~finite)[0]
+        value = table.values[row, column]
+        raise NumericalError(f"output line {row + 2} holds the non-finite value {value}")
+    with _opened(out) as handle:
+        handle.write(",".join(table.columns) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK):
+            rows = table.values[start:start + _CSV_BLOCK].tolist()
+            handle.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))

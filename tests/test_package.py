@@ -1,6 +1,8 @@
 import ast
 import importlib
+import importlib.util
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -41,3 +43,26 @@ def test_benchmark_imports_exist():
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
+def _load(path: Path, monkeypatch) -> types.ModuleType:
+    """The module at ``path``, registered only for the test (dataclasses look it up)."""
+    spec = importlib.util.spec_from_file_location(f"_benchmark_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_figure_sweep_benchmark_pass_runs_clean(monkeypatch):
+    """One pass of the benchmark's figure-sweep workload, run from the repo
+    root as the benchmark runs it, passes its own checks, so a change to
+    ``run_sweep``'s result that the harness cannot read fails here."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = _load(ROOT / "benchmarks" / "workloads.py", monkeypatch)
+    tracing = _load(ROOT / "benchmarks" / "tracing.py", monkeypatch)
+    workload = workloads.FigureSweep(1)
+    result = workload.run_pass(0, tracing.NullTracer())
+    assert (result.attempted, result.failed) == (365, 0)
+    assert workload.check(result) == []

@@ -27,10 +27,10 @@ from trustevo.payoffs import payoff_matrix
 from trustevo.strategies import ALLC, ALLD, TFT, tuc, tud
 from trustevo.sweep import (
     SweepConfig,
+    SweepTable,
     parse_config,
     preset_config,
     run_sweep,
-    sweep_table,
     write_csv,
     write_rows,
 )
@@ -140,6 +140,37 @@ class TestSweepConfigValidation:
         with pytest.raises(ConfigError, match="120000 points"):
             SweepConfig(axes=(axis, ("check_prob", tuple(np.linspace(0.1, 1.0, 300)))))
 
+    def test_an_array_or_list_axis_is_kept_as_a_tuple_of_its_values(self):
+        """A numpy array axis is accepted, its values as Python floats, and a
+        list axis leaves the config hashable; an int stays an int."""
+        config = SweepConfig(axes=(("check_cost", np.linspace(0, 1, 5)), ("population", [10, 20])))
+        assert config.axes == (
+            ("check_cost", (0.0, 0.25, 0.5, 0.75, 1.0)), ("population", (10, 20))
+        )
+        assert [type(values[0]) for _, values in config.axes] == [float, int]
+        hash(config)
+        assert len(run_sweep(config)) == 10
+        game = GameSpec(expected_rounds=4)
+        with pytest.raises(DilemmaViolationError, match=r" \(sweep point temptation=0\.5\)$"):
+            run_sweep(SweepConfig(game=game, axes=(("temptation", np.array([2.0, 0.5])),)))
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (0.5, "takes a sequence of numbers, got 0.5"),
+            (np.float64(0.5), "takes a sequence of numbers"),
+            ("0.1, 0.2", "takes a sequence of numbers, got '0.1, 0.2'"),
+            (((0.1, 0.2),), r"holds \(0\.1, 0\.2\), which is not a number"),
+            (np.ones((2, 2)), "holds array"),
+            ((0.1, "0.2"), "holds '0.2', which is not a number"),
+            ((0.1, None), "holds None, which is not a number"),
+        ],
+        ids=["scalar", "numpy-scalar", "string", "nested", "2-d-array", "string-value", "none"],
+    )
+    def test_an_axis_that_is_not_a_flat_sequence_of_numbers_is_refused(self, values, message):
+        with pytest.raises(ConfigError, match=f"sweep axis 'check_cost' {message}"):
+            SweepConfig(axes=(("check_cost", values),))
+
     def test_integer_axes_accept_whole_floats(self):
         config = SweepConfig(
             game=make_prisoners_dilemma(), axes=(("trust_threshold", (2.0, 5.0)),)
@@ -222,20 +253,21 @@ class TestSweepEvaluation:
                 *report.stationary_with.probabilities, report.with_trust,
                 report.without_trust, report.delta,
             ]
-            got = [
-                row[column] for column in sweep_table(rows)[0] if not column.startswith("param:")
-            ]
+            got = [row[column] for column in rows.columns if not column.startswith("param:")]
             assert [float(x).hex() for x in got] == [float(x).hex() for x in expected]
 
     def test_each_distinct_game_and_pool_is_built_once(self):
-        """fig5's 252 points hold 21 games (one per check cost) and 12 pools
-        (one per check probability)."""
+        """fig5's 252 points, one stack, hold 21 games (one per check cost), each
+        checked in one elementwise call over the stack's columns, and 12 pools
+        (one per check probability), each built once."""
         config = preset_config("fig5")
-        with mock.patch.object(sweep, "GameSpec", wraps=GameSpec) as games, mock.patch.object(
-            sweep, "strategy_pool", wraps=sweep.strategy_pool
-        ) as pools:
+        with mock.patch.object(
+            sweep, "check_game", wraps=sweep.check_game
+        ) as checks, mock.patch.object(sweep, "strategy_pool", wraps=sweep.strategy_pool) as pools:
             rows = run_sweep(config)
-        assert (len(rows), games.call_count, pools.call_count) == (252, 21, 12)
+        (call,) = checks.call_args_list
+        games = set(zip(*(column.tolist() for column in call.args)))
+        assert (len(rows), len(call.args[0]), len(games), pools.call_count) == (252, 252, 21, 12)
 
     @pytest.mark.parametrize(
         "preset, distinct",
@@ -267,9 +299,9 @@ class TestSweepEvaluation:
         with mock.patch.object(sweep, "_evaluate", wraps=sweep._evaluate) as evaluate:
             with pytest.raises(NumericalError, match=r"\(sweep point payoff_scale=100\.0\)$"):
                 run_sweep(config)
-        stacks = [call.args[0] for call in evaluate.call_args_list]
-        assert [point["payoff_scale"] for point in stacks[-1]] == [100.0]
-        assert sum(map(len, stacks)) <= 3 * len(scales)
+        stacks = [call.args[1:3] for call in evaluate.call_args_list]  # (start, stop) rows
+        assert stacks[-1] == (1999, 2000) and scales[1999] == 100.0
+        assert sum(stop - start for start, stop in stacks) <= 3 * len(scales)
         assert len(stacks) <= 2 * math.ceil(math.log2(len(scales))) + 1
 
     @pytest.mark.parametrize(
@@ -324,9 +356,19 @@ class TestSweepEvaluation:
                 assert (type(exc), str(exc)) == expected
             else:
                 assert expected is None and len(rows) == len(scales)
-        stacks = [call.args[0] for call in evaluate.call_args_list]
-        assert sum(map(len, stacks)) <= 3 * len(scales)
+        stacks = [call.args[1:3] for call in evaluate.call_args_list]  # (start, stop) rows
+        assert sum(stop - start for start, stop in stacks) <= 3 * len(scales)
         assert len(stacks) <= 2 * math.ceil(math.log2(len(scales))) + 1
+
+    @pytest.mark.parametrize(
+        "axes, point", [((), "without axes"), ((("expected_rounds", (4, 5)),), "expected_rounds=4")]
+    )
+    def test_an_int_input_is_refused_as_an_int(self, axes, point):
+        """A refusal prints the point's own values, not their float columns."""
+        config = SweepConfig(game=GameSpec(expected_rounds=4), trust_threshold=5, axes=axes)
+        message = f"trust threshold 5 must be below the expected rounds 4 (sweep point {point})"
+        with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
+            run_sweep(config)
 
     def test_a_long_run_is_stacked_in_bounded_blocks(self):
         """A 20,000-point run at one N and beta holds at most a block of
@@ -344,9 +386,53 @@ class TestSweepEvaluation:
         assert len(rows) == 20_000
         assert peak - kept < 8 * 2**20
 
+    def test_the_table_is_one_array_and_its_csv_is_written_in_blocks(self):
+        """A 10,000-point grid keeps one float64 array (1.5 MB under
+        tracemalloc, against 6.7 MB of row dicts), and writing its CSV peaks
+        at a block of rows, not the whole text."""
+        import tracemalloc
+
+        class Sink:
+            def write(self, text):
+                pass
+
+        config = SweepConfig(axes=(("check_cost", tuple(i / 10_000 for i in range(10_000))),))
+        tracemalloc.start()
+        try:
+            table = run_sweep(config)
+            kept, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            write_csv(table, Sink())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.values.shape == (10_000, 19) and table.values.dtype == np.float64
+        assert kept < 2e6
+        assert peak - kept < 5e6
+
+    def test_a_non_finite_table_value_writes_nothing(self, tmp_path):
+        table = run_sweep(preset_config("fig3"))
+        values = table.values.copy()
+        values[1, 14] = math.nan
+        buffer, target = io.StringIO(), tmp_path / "out.csv"
+        for out in (buffer, str(target)):
+            with pytest.raises(
+                NumericalError, match="^output line 3 holds the non-finite value nan$"
+            ):
+                write_csv(SweepTable(table.columns, values), out)
+        assert buffer.getvalue() == ""
+        assert not target.exists()
+
+    def test_rows_are_mappings_read_from_the_array(self):
+        table = run_sweep(preset_config("fig4"))
+        assert len(table) == 50 and len(list(table)) == 50
+        assert list(table[-1].values()) == table.values[49].tolist()
+        assert table[25:27].values.tolist() == table.values[25:27].tolist()
+        with pytest.raises(IndexError):
+            table[50]
+
     def test_column_order_is_stable(self):
-        rows = run_sweep(preset_config("fig3"))
-        columns = sweep_table(rows)[0]
+        columns = list(run_sweep(preset_config("fig3")).columns)
         params = [c for c in columns if c.startswith("param:")]
         assert params == sorted(params)
         assert columns[len(params):] == [
