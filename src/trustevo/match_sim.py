@@ -9,7 +9,10 @@ observation lottery branch by branch, a branch giving an outcome code and a
 next state.  The caller only says what mass a branch carries: a probability
 weight in the enumerator, a boolean mask of the samples whose draw picks it
 in a rollout.  States that cannot behave differently merge, their masses
-added, and each distinct joint state is stepped once per walk.  The
+added.  Each player's action and observation lottery come from a behaviour
+table row per (strategy, state), filled on first use, so each distinct
+behaviour is stepped once per table: once per walk, or once per
+verification, which shares one table among all its walks.  The
 enumerator's walk ends at the first round that leaves the frontier as it
 found it, but that a player's pre-trust levels may all fall by one amount,
 as against ALLD: later rounds repeat its counts.  A rollout walks every round.
@@ -22,9 +25,10 @@ the observation: none, a paid check, or the check that catches a defection.
   probability into each code's expected count, as prefix sums over rounds:
   one walk serves every game, convention and shorter match.
   :func:`exact_expected_payoffs` prices its last row.
-* :func:`monte_carlo_payoffs` rolls out fixed blocks of samples in
-  lockstep, the samples that share a joint state taking one step together,
-  and reports means with standard errors.
+* :func:`monte_carlo_payoffs` rolls out blocks of samples in lockstep, each
+  block as many samples as the draw budget holds, the samples that share a
+  joint state taking one step together, and reports means with standard
+  errors.
 
 Cost conventions
 ----------------
@@ -79,8 +83,9 @@ _STATE_LIMIT = 256
 # some 230 bytes and a round of exact counts 192; a sample's totals take 16.
 _MAX_ROUNDS, _MAX_SAMPLES = 1_000_000, 10_000_000
 
-# Monte Carlo samples per lockstep rollout, fewer past 512 rounds: at most 8 MB of
-# draws up to 524,288 rounds; past that one sample a block, 16 bytes a round.
+# The Monte Carlo draw budget, in samples of 512 rounds: a lockstep block takes
+# ``_BLOCK * 512 // rounds`` samples, 8 MiB of draws (and at one round 8 MiB of
+# totals), up to 524,288 rounds; past that one sample a block, 16 bytes a round.
 _BLOCK = 1024
 
 
@@ -173,7 +178,7 @@ def _behaviour_key(spec: StrategySpec, state: StrategyState) -> StrategyState:
     return StrategyState(level, state.trusting, state.reverted, last)
 
 
-def _walk(spec_a, spec_b, rounds, mass, split, record, settle=False):
+def _walk(spec_a, spec_b, rounds, mass, split, record, settle=False, table=None):
     """Walk the joint states for ``rounds`` rounds from ``mass``.
 
     ``split(i, player, mass, prob, observed)`` gives the mass of one branch of
@@ -181,22 +186,26 @@ def _walk(spec_a, spec_b, rounds, mass, split, record, settle=False):
     and ``record(i, mass, act_a, act_b, code_a, code_b)`` takes each joint
     outcome.  States are kept as behaviour keys; successors with equal keys
     add their masses with ``+``: weights sum and boolean sample masks unite.
-    Each joint key is stepped once per walk, and later rounds reuse its step.
-    Returns the rounds walked.  With ``settle`` (float masses, and a ``split``
-    that weighs every round alike) the walk ends after a round that each later
-    round repeats, by :func:`_repeats`: one that leaves the frontier as it found
-    it, but for pre-trust levels that all fall by one amount.
+    Each player's behaviour comes from ``table``, filled on first use: per
+    spec, a row per behaviour key holding the action and, per opponent action,
+    the :func:`_side`.  A caller that walks many pairs passes one table to all
+    of them, so each distinct behaviour is stepped once.  Returns the rounds
+    walked.  With ``settle`` (float masses, and a ``split`` that weighs every
+    round alike) the walk ends after a round that each later round repeats, by
+    :func:`_repeats`: one that leaves the frontier as it found it, but for
+    pre-trust levels that all fall by one amount.
     """
-    steps = {}
+    table = {} if table is None else table
+    rows_a, rows_b = table.setdefault(spec_a, {}), table.setdefault(spec_b, {})
     frontier = {(initial_state(spec_a), initial_state(spec_b)): mass}
     for i in range(rounds):
         successors = {}
         for (sa, sb), mass in frontier.items():
-            if (sa, sb) not in steps:
-                act_a, act_b = next_action(spec_a, sa), next_action(spec_b, sb)
-                sides = _side(spec_a, sa, act_a, act_b), _side(spec_b, sb, act_b, act_a)
-                steps[sa, sb] = act_a, act_b, *sides
-            act_a, act_b, (prob_a, branches_a), (prob_b, branches_b) = steps[sa, sb]
+            act_a, obs_a = rows_a.get(sa) or rows_a.setdefault(sa, (next_action(spec_a, sa), {}))
+            act_b, obs_b = rows_b.get(sb) or rows_b.setdefault(sb, (next_action(spec_b, sb), {}))
+            side_a = obs_a.get(act_b) or obs_a.setdefault(act_b, _side(spec_a, sa, act_a, act_b))
+            side_b = obs_b.get(act_a) or obs_b.setdefault(act_a, _side(spec_b, sb, act_b, act_a))
+            (prob_a, branches_a), (prob_b, branches_b) = side_a, side_b
             for seen_a, code_a, sa2 in branches_a:
                 part = split(i, 0, mass, prob_a, seen_a)
                 if part is None:
@@ -292,12 +301,15 @@ def monte_carlo_payoffs(
     samples: int = 1000,
     seed: int = 0,
 ) -> MonteCarloPayoffs:
-    """Average seeded rollouts; sample i is the i-th match of one stream."""
+    """Average seeded rollouts; sample i is the i-th match of one stream.
+
+    The samples run in lockstep blocks of ``_BLOCK * 512 // rounds``, at least
+    one, so a block's draws stay within 8 MiB up to 524,288 rounds."""
     rounds = require_int("rounds", game.simulation_rounds(), 1, _MAX_ROUNDS)
     require_int("samples", samples, 1, _MAX_SAMPLES)
     rng = _generator(seed)
     totals = np.empty((2, samples))
-    size = min(samples, max(1, _BLOCK * 512 // max(rounds, 512)))
+    size = min(samples, max(1, _BLOCK * 512 // rounds))
     draws = np.empty((size, rounds, 2))
     for start in range(0, samples, size):
         block = rng.random(out=draws[: samples - start])
@@ -325,6 +337,12 @@ def expected_outcomes(spec_a: StrategySpec, spec_b: StrategySpec, rounds: int) -
     """Expected outcome counts as a (rounds, 2, 12) array: ``[i, player, code]``
     counts the first ``i + 1`` rounds in which ``player`` (0 for ``spec_a``)
     met ``code``, exact over :func:`play_match`'s draws up to float rounding."""
+    return _outcome_counts(spec_a, spec_b, rounds, {})
+
+
+def _outcome_counts(spec_a, spec_b, rounds, table):
+    """:func:`expected_outcomes` walked with the behaviour ``table`` of
+    :func:`_walk`, which a caller walking many pairs shares among them."""
     require_int("rounds", rounds, 1, _MAX_ROUNDS)
     rows = []  # each walked round's counts; every round records
 
@@ -337,7 +355,7 @@ def expected_outcomes(spec_a: StrategySpec, spec_b: StrategySpec, rounds: int) -
         rows[i][code_a] += weight
         rows[i][12 + code_b] += weight
 
-    walked = _walk(spec_a, spec_b, rounds, 1.0, split, record, settle=True)
+    walked = _walk(spec_a, spec_b, rounds, 1.0, split, record, True, table)
     counts = np.empty((rounds, 24))
     counts[:walked], counts[walked:] = rows, rows[-1]
     counts = counts.reshape(rounds, 2, 12)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .errors import ParameterDomainError, require_int
+from .errors import ParameterDomainError, require_int, require_real
 
 
 class Action(Enum):
@@ -70,7 +70,7 @@ class StrategySpec:
                 )
         if self.kind is StrategyKind.TUC:
             p = self.check_prob
-            if p is None or not 0.0 <= p <= 1.0:
+            if p is None or not 0.0 <= require_real("TUC check_prob", p) <= 1.0:
                 raise ParameterDomainError(
                     f"TUC needs check_prob in [0, 1], got {p!r}"
                 )

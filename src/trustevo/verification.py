@@ -6,11 +6,13 @@ share no arithmetic: :mod:`trustevo.payoffs` evaluates phase-split formulas,
 This module sweeps both over a standard parameter grid and reports the worst
 relative disagreement and where it sits.  The enumerator's outcome counts
 hold no game and a shorter match is a prefix of a longer one, so each
-distinct strategy pair is walked once, to the longest grid match, and priced
-against all grid games in one product; ALLC v ALLD serves every (theta, p)
-cell from one walk.  The closed forms price the whole grid as one
-``payoff_tables`` stack, theta and p given per game as the sweeps give them,
-and the whole grid is compared as one array gathered to that stack's rows.
+distinct strategy pair is walked once, to the longest grid match, and the
+walks share one behaviour table, so each distinct behaviour is stepped once.
+Every walk's counts at the grid's match lengths are priced against all grid
+games in one product; ALLC v ALLD serves every (theta, p) cell from one walk.
+The closed forms price the whole grid as one ``payoff_tables`` stack, theta
+and p given per game as the sweeps give them, and the whole grid is compared
+as one array gathered to that stack's rows.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from .game_model import GameSpec
-from .match_sim import expected_outcomes, outcome_payoffs
+from .match_sim import _outcome_counts, outcome_payoffs
 from .metrics import strategy_pool
 from .payoffs import payoff_tables
 
@@ -93,10 +95,13 @@ def run_oracle_verification() -> OracleReport:
         [walks.setdefault(pair, len(walks)) for pair in combinations_with_replacement(pool, 2)]
         for pool in (strategy_pool(*cell) for cell in cells)
     ])
-    priced = np.empty((len(walks), len(grid), 2))  # mean payoffs of a and b in each grid game
-    for walk, (a, b) in enumerate(walks):
-        counts = expected_outcomes(a, b, max(GRID_ROUNDS))
-        priced[walk] = (counts[rounds - 1] @ prices[:, :, None])[..., 0] / rounds[:, None]
+    table = {}  # one behaviour table for all walks
+    at_rounds = np.array(GRID_ROUNDS)[:, None] - 1
+    counts = np.array([  # (walks, rounds, 1, 2, 12): each walk's counts at the grid's rounds
+        _outcome_counts(a, b, max(GRID_ROUNDS), table)[at_rounds] for a, b in walks
+    ])
+    by_rounds = prices.reshape(len(GRID_ROUNDS), -1, 12, 1)  # the grid is rounds-major
+    priced = (counts @ by_rounds).reshape(len(walks), len(grid), 2) / rounds[:, None]  # means
     exact = priced[walk_of[at_cell], at_game[:, None]]  # (stack rows, pairs, 2)
     rows, cols = np.triu_indices(stack.shape[-1])  # the pairs' pool indices, in order
     analytic = stack[:, [rows, cols], [cols, rows]].transpose(0, 2, 1)  # as exact

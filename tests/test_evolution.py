@@ -150,6 +150,28 @@ class TestEvolutionParams:
     def test_zero_selection_is_allowed(self):
         EvolutionParams(population_size=2, selection_strength=0.0)
 
+    def test_selection_accepts_ints_and_numpy_floats(self):
+        assert EvolutionParams(10, 1).selection_strength == 1
+        assert EvolutionParams(10, np.float64(0.1)).selection_strength == 0.1
+
+    def test_bool_selection_is_refused(self):
+        with pytest.raises(
+            ParameterDomainError, match="selection_strength must be a real number, got True$"
+        ):
+            EvolutionParams(10, True)
+
+    def test_string_selection_is_refused(self):
+        with pytest.raises(
+            ParameterDomainError, match="selection_strength must be a real number, got '0.1'$"
+        ):
+            EvolutionParams(10, "0.1")
+
+    def test_array_selection_is_refused(self):
+        with pytest.raises(
+            ParameterDomainError, match=r"selection_strength must be a real number, got array\("
+        ):
+            EvolutionParams(10, np.array([0.1, 0.2]))
+
     def test_population_is_bounded(self):
         """N = 10^6 is the largest population taken; nothing is computed here."""
         assert EvolutionParams(10**6, 0.1).population_size == 10**6

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from trustevo.errors import (
@@ -67,6 +68,33 @@ class TestGameSpecValidation:
         a domain error rather than a dilemma violation."""
         with pytest.raises(ParameterDomainError, match=f"{field} must be finite"):
             GameSpec(**{field: value})
+
+
+class TestGameSpecTypes:
+    """Each field takes a real scalar: Python ints stay ints, numpy floats are
+    taken, and a bool, a string or an array is refused by name."""
+
+    def test_ints_and_numpy_floats_are_taken(self):
+        game = GameSpec(expected_rounds=4, check_cost=np.float64(0.3))
+        assert repr(game.expected_rounds) == "4" and game.check_cost == 0.3
+
+    def test_a_bool_is_refused(self):
+        with pytest.raises(
+            ParameterDomainError, match="check_cost must be a real number, got True$"
+        ):
+            GameSpec(check_cost=True)
+
+    def test_a_string_is_refused(self):
+        with pytest.raises(
+            ParameterDomainError, match="expected_rounds must be a real number, got '50'$"
+        ):
+            GameSpec(expected_rounds="50")
+
+    def test_an_array_is_refused(self):
+        with pytest.raises(
+            ParameterDomainError, match=r"temptation must be a real number, got array\("
+        ):
+            GameSpec(temptation=np.array([2.0, 3.0]))
 
 
 class TestScaling:

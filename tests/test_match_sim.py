@@ -314,19 +314,22 @@ class TestExpectedOutcomes:
     def test_verify_walks_each_distinct_pair_once(self, monkeypatch):
         """One walk per distinct pair: 6 among ALLC, ALLD and TFT, 4 TUD
         pairs per theta and 5 TUC pairs per (theta, p): 6 + 16 + 100 = 122.
-        Each walk steps each joint behaviour state once, two actions a step:
-        604 steps over the 122 walks, where stepping every state every
-        round took 6,631.  110 walks end by round 12, at a round that leaves
-        the frontier unchanged or, in ALLD v TUC or TUD, only lowers the
-        trust level: 1,123 rounds walked, not 122 * 50 = 6,100.  The 12 that
-        run all 50 rounds are TUC v TUD with 0 < p < 1, whose uncaught mass
-        decays."""
+        The walks share one behaviour table, so each (strategy, behaviour
+        key) plays once and each against an opponent action observes once:
+        182 actions and 233 observation steps, where stepping each walk's
+        joint states once took 604 joint steps of two actions each (1,208),
+        and stepping every state every round 6,631.  110 walks end by round
+        12, at a round that leaves the frontier unchanged or, in ALLD v TUC
+        or TUD, only lowers the trust level: 1,123 rounds walked, not
+        122 * 50 = 6,100.  The 12 that run all 50 rounds are TUC v TUD with
+        0 < p < 1, whose uncaught mass decays."""
         import trustevo.verification as verification
 
         calls = []
         actions = []
+        sides = []
         walked = []
-        walk = match_sim._walk
+        walk, side, counts = match_sim._walk, match_sim._side, match_sim._outcome_counts
 
         def counted_walk(*args, **kwargs):
             walked.append(walk(*args, **kwargs))
@@ -334,19 +337,26 @@ class TestExpectedOutcomes:
 
         def counted(*args):
             calls.append(args)
-            return expected_outcomes(*args)
+            return counts(*args)
 
         def counted_action(spec, state):
             actions.append(spec)
             return next_action(spec, state)
 
-        monkeypatch.setattr(verification, "expected_outcomes", counted)
+        def counted_side(*args):
+            sides.append(args)
+            return side(*args)
+
+        monkeypatch.setattr(verification, "_outcome_counts", counted)
         monkeypatch.setattr(match_sim, "next_action", counted_action)
+        monkeypatch.setattr(match_sim, "_side", counted_side)
         monkeypatch.setattr(match_sim, "_walk", counted_walk)
         report = run_oracle_verification()
         assert len(calls) == 122
-        assert len({(a, b) for a, b, _ in calls}) == 122
-        assert len(actions) == 1208
+        assert len({(a, b) for a, b, _, _ in calls}) == 122
+        assert len({id(table) for _, _, _, table in calls}) == 1
+        assert len(actions) == 182
+        assert len(sides) == 233
         assert sum(walked) == 1123
         assert sum(n < 50 for n in walked) == 110 and max(n for n in walked if n < 50) == 12
         assert report.comparisons == 17550 and report.ok
@@ -423,8 +433,9 @@ def _frozen_verification():
     """``run_oracle_verification`` as it compared the grid one (theta, p)
     cell at a time, frozen to pin the whole-grid comparison's report byte for
     byte: ``(comparisons, failures, worst.hex(), worst_at)``.  The grid,
-    ``payoff_tables``, ``expected_outcomes`` and ``_tolerance_ratio`` are
-    read from the module at call time, so a patch reaches both."""
+    ``payoff_tables`` and ``_tolerance_ratio`` are read from the verification
+    module at call time, so a patch reaches both; each pair's counts come
+    from ``expected_outcomes``, walked alone."""
     import trustevo.verification as v
 
     grid = list(itertools.product(v.GRID_ROUNDS, v.GRID_CHECK_COSTS, v.GRID_SCALES))
@@ -448,7 +459,7 @@ def _frozen_verification():
         pairs = list(itertools.combinations_with_replacement(pool, 2))
         for a, b in pairs:
             if (a, b) not in priced:
-                counts = v.expected_outcomes(a, b, max(v.GRID_ROUNDS))
+                counts = match_sim.expected_outcomes(a, b, max(v.GRID_ROUNDS))
                 priced[a, b] = (counts[rounds - 1] @ prices[:, :, None])[..., 0] / rounds[:, None]
         exact = np.array([priced[pair][kept] for pair in pairs])
         rows, cols = np.triu_indices(len(pool))  # the pairs' pool indices, in order
@@ -758,22 +769,23 @@ class TestAgainstScalarReference:
 
     @pytest.mark.parametrize("convention", list(CostConvention))
     def test_samples_across_a_block_boundary(self, convention):
-        """More samples than one lockstep block holds."""
+        """More samples than one lockstep block holds: 17,476 at 30 rounds."""
         game = make_prisoners_dilemma(expected_rounds=30)
         mc = monte_carlo_payoffs(
-            tuc(2, 0.3), tud(2), game, convention=convention, samples=1100, seed=4
+            tuc(2, 0.3), tud(2), game, convention=convention, samples=17_500, seed=4
         )
         expected = _reference_monte_carlo(
-            tuc(2, 0.3), tud(2), game, 30, convention, 1100, 4
+            tuc(2, 0.3), tud(2), game, 30, convention, 17_500, 4
         )
         assert (mc.mean_a, mc.mean_b, mc.stderr_a, mc.stderr_b) == expected
 
 
-def _stepwise_walk(spec_a, spec_b, rounds, mass, split, record, settle=False):
+def _stepwise_walk(spec_a, spec_b, rounds, mass, split, record, settle=False, table=None):
     """Reference walk without a memo: every round steps every joint state
     through the behaviour machines, and successors merge on a key that also
     keeps a tit-for-tat level and tells an unobserved opponent from one seen
-    to cooperate.  It walks every round, ``settle`` or not."""
+    to cooperate.  It walks every round, ``settle`` or not, and ignores the
+    behaviour ``table``."""
     results = {(C, C): 1, (C, D): 3, (D, C): 0, (D, D): 2}
 
     def side(spec, state, action, opponent_action):
@@ -818,7 +830,7 @@ def _stepwise_walk(spec_a, spec_b, rounds, mass, split, record, settle=False):
 
 
 class TestMemoisedWalk:
-    """The walk that steps each joint behaviour state once equals the
+    """The walk that steps each behaviour once per table equals the
     stepwise reference walk bit for bit, in the enumerator, the traced
     match and Monte Carlo."""
 
@@ -853,6 +865,80 @@ class TestMemoisedWalk:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(match_sim, "_walk", _stepwise_walk)
             assert outputs() == memoised
+
+
+class TestSharedBehaviourTable:
+    """Walks that share one behaviour table, as ``verify``'s do, count what
+    each pair walked alone counts, bit for bit."""
+
+    TABLE = {}  # shared by every draw of the property below
+
+    def test_verify_pairs_equal_their_walks_alone(self):
+        import trustevo.verification as verification
+
+        cells = itertools.product(verification.GRID_THRESHOLDS, verification.GRID_CHECK_PROBS)
+        pairs = dict.fromkeys(
+            pair
+            for cell in cells
+            for pair in itertools.combinations_with_replacement(strategy_pool(*cell), 2)
+        )
+        assert len(pairs) == 122
+        table = {}
+        for a, b in pairs:
+            shared = match_sim._outcome_counts(a, b, 50, table)
+            assert shared.tobytes() == expected_outcomes(a, b, 50).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        theta=st.integers(1, 10),
+        prob=st.one_of(st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0)),
+        pair=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        rounds=st.integers(1, 60),
+    )
+    def test_a_table_shared_across_draws(self, theta, prob, pair, rounds):
+        pool = strategy_pool(theta, prob)
+        a, b = pool[pair[0]], pool[pair[1]]
+        shared = match_sim._outcome_counts(a, b, rounds, self.TABLE)
+        assert shared.tobytes() == expected_outcomes(a, b, rounds).tobytes()
+
+
+class TestDrawBudget:
+    """Monte Carlo takes ``_BLOCK * 512 // rounds`` samples a block, at least
+    one, at every match length."""
+
+    @pytest.mark.parametrize("convention", list(CostConvention))
+    @pytest.mark.parametrize("rounds, samples", [(1, 3000), (50, 2000), (512, 30), (513, 30)])
+    def test_blocks_equal_the_smallest_budget(self, monkeypatch, convention, rounds, samples):
+        """``_BLOCK = 1`` holds 512 draw rounds a block: one sample a block
+        from 512 rounds, 512 // rounds below.  The default takes each case in
+        one block."""
+        game = make_prisoners_dilemma(check_cost=0.3, expected_rounds=rounds)
+
+        def estimates():
+            mc = monte_carlo_payoffs(
+                tuc(3, 0.25), tud(3), game, convention=convention, samples=samples, seed=8
+            )
+            return [x.hex() for x in (mc.mean_a, mc.mean_b, mc.stderr_a, mc.stderr_b)]
+
+        blocks = estimates()
+        monkeypatch.setattr(match_sim, "_BLOCK", 1)
+        assert estimates() == blocks
+
+    def test_a_short_match_holds_one_budget_of_draws(self):
+        """20,000 samples of 50 rounds would hold 16 MB of draws in one block;
+        blocks of 10,485 samples hold 8 MiB."""
+        import tracemalloc
+
+        game = make_prisoners_dilemma(expected_rounds=50)
+        tracemalloc.start()
+        try:
+            mc = monte_carlo_payoffs(ALLC, ALLD, game, samples=20_000, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        t, _, _, s = game.scaled_payoffs()
+        assert (mc.mean_a, mc.mean_b) == (s, t)
+        assert 10_485 * 50 * 2 * 8 <= peak < 9 * 2**20
 
 
 class TestSimulationBounds:

@@ -66,3 +66,29 @@ def test_the_figure_sweep_benchmark_pass_runs_clean(monkeypatch):
     result = workload.run_pass(0, tracing.NullTracer())
     assert (result.attempted, result.failed) == (365, 0)
     assert workload.check(result) == []
+
+
+def test_the_oracles_benchmark_pass_runs_clean(monkeypatch):
+    """One pass of the benchmark's oracles workload: 17,550 comparisons, the
+    Monte Carlo and three fixation simulations, all passing their checks."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = _load(ROOT / "benchmarks" / "workloads.py", monkeypatch)
+    tracing = _load(ROOT / "benchmarks" / "tracing.py", monkeypatch)
+    workload = workloads.Oracles(1)
+    result = workload.run_pass(0, tracing.NullTracer())
+    assert (result.attempted, result.failed) == (17_554, 0)
+    assert workload.check(result) == []
+
+
+def test_the_point_queries_benchmark_pass_runs_clean(monkeypatch):
+    """One pass of the benchmark's point-queries workload: 240 single
+    ``cooperation_report`` calls, none refused, all passing their checks."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = _load(ROOT / "benchmarks" / "workloads.py", monkeypatch)
+    tracing = _load(ROOT / "benchmarks" / "tracing.py", monkeypatch)
+    workload = workloads.PointQueries(1)
+    result = workload.run_pass(0, tracing.NullTracer())
+    assert (result.attempted, result.failed) == (240, 0)
+    assert workload.check(result) == []

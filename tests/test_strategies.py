@@ -71,6 +71,13 @@ class TestSpecValidation:
         with pytest.raises(ParameterDomainError):
             tuc(3, 1.01)
 
+    def test_check_prob_accepts_ints_and_numpy_floats(self):
+        assert tuc(3, 1).check_prob == 1 and tuc(3, np.float64(0.5)).check_prob == 0.5
+
+    def test_bool_check_prob_is_refused(self):
+        with pytest.raises(ParameterDomainError, match="TUC check_prob must be a real number, got True$"):
+            tuc(3, True)
+
     def test_labels(self):
         assert ALLC.label == "ALLC"
         assert tuc(3, 0.25).label == "TUC"
