@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -61,10 +62,9 @@ class EvolutionParams:
 
     def __post_init__(self) -> None:
         require_int("population_size", self.population_size, 2, _MAX_POPULATION)
-        if not 0 <= require_real("selection_strength", self.selection_strength) < np.inf:
-            raise ParameterDomainError(
-                f"selection_strength must be finite and >= 0, got {self.selection_strength}"
-            )
+        beta = require_real("selection_strength", self.selection_strength)
+        if not 0 <= beta <= sys.float_info.max:  # an int of 10**400 is refused too
+            raise ParameterDomainError(f"selection_strength must be finite and >= 0, got {beta}")
 
 
 @dataclass

@@ -12,7 +12,7 @@ check cost 0.25 and 50 expected rounds.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -87,12 +87,12 @@ _RULES = (
 )
 
 
-def _rules_held(t, r, p, s, scale, cost, rounds) -> tuple:
-    """Whether each rule holds, in ``_RULES`` order: floats, or elementwise arrays."""
-    return (
-        *(abs(v) < math.inf for v in (t, r, p, s, scale, cost, rounds)),
-        scale > 0, cost >= 0, rounds >= 1, t > r, r > p, p > s, 2 * r > t + s,
-    )
+def _rules_held(t, r, p, s, scale, cost, rounds):
+    """Whether each rule holds, in ``_RULES`` order: floats, or elementwise arrays.
+    The rest are formed only once the seven numbers pass as finite, so T + S never
+    converts an int beyond the float range."""
+    yield from (abs(v) <= sys.float_info.max for v in (t, r, p, s, scale, cost, rounds))
+    yield from (scale > 0, cost >= 0, rounds >= 1, t > r, r > p, p > s, 2 * r > t + s)
 
 
 def check_game(
@@ -104,14 +104,16 @@ def check_game(
     values = (temptation, reward, punishment, sucker, payoff_scale, check_cost, expected_rounds)
     if isinstance(temptation, np.ndarray):
         with np.errstate(over="ignore"):  # an overflowed 2R or T + S breaks its rule
-            broken = ~np.logical_and.reduce(_rules_held(*values))
+            broken = ~np.logical_and.reduce(tuple(_rules_held(*values)))
         if broken.any():
             check_game(*(v[broken.argmax()] for v in values))
         return
     for held, (error, message) in zip(_rules_held(*values), _RULES):
         if not held:
-            twice, total = 2 * reward, temptation + sucker
-            raise error(message.format(**dict(zip(_FIELDS, values)), twice=twice, sum=total))
+            fields = dict(zip(_FIELDS, values))
+            if error is AlternationDominanceError:  # every number is finite by now
+                fields.update(twice=2 * reward, sum=temptation + sucker)
+            raise error(message.format(**fields))
 
 
 # Another name for the class: ``make_prisoners_dilemma()`` is ``GameSpec()``.

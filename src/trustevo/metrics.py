@@ -104,8 +104,8 @@ def cooperation_report(
     trust_threshold: int = 3,
     check_prob: float = 0.25,
 ) -> CooperationReport:
-    """Compare the classic three-strategy pool against the five-strategy one,
-    from a table built in floats, as a sweep does over a stack of tables."""
+    """Compare the classic three-strategy pool against the five-strategy one, from
+    a table built in floats; a sweep's refused point raises this call's error."""
     full = strategy_pool(trust_threshold, check_prob)
     labels = tuple(s.label for s in full)
     indices = [selfplay_cooperation_index(s, game.expected_rounds) for s in full]

@@ -10,10 +10,10 @@ columns the evaluation fills in.  Runs of points that share N and beta are
 evaluated as stacks of up to ``_STACK_POINTS`` through ``pool_cooperation``,
 the path of a single point; each stack's games are checked elementwise by
 ``GameSpec``'s rules and each distinct strategy pool is built once.  A
-refused point raises naming its axis values, the first in grid order, found
-by halving the refused stack (at most 3n points summed for a stack of n);
-its error is raised from its own base and axis values, so an int prints as
-one.  Nothing is random, so a sweep is byte-identical run to run.
+refused point, the first in grid order, is found by halving the refused
+stack (at most 3n points summed for a stack of n) and raises the error of
+``cooperation_report`` at its own base and axis values, naming the latter.
+Nothing is random, so a sweep is byte-identical run to run.
 
 The eleven base parameters are listed once, by INI section, in ``SECTIONS``:
 the :class:`GameSpec` fields under ``[game]`` (defaults from ``GameSpec()``),
@@ -23,11 +23,11 @@ line options take their names from it.  A section's INI key is
 the parameter name without the section prefix (``[trust] threshold`` is
 ``trust_threshold``); each key under ``[sweep]`` is a full name and adds one
 axis, whose values are an explicit comma list, ``lin:start:stop:count`` or
-``log:start:stop:count``.  ``population`` and ``trust_threshold`` take whole
-numbers, as base values and on axes alike: a fraction, NaN or infinity
-raises ``ConfigError``.  :func:`write_csv` writes a sweep table and
-:func:`write_rows` every other command line table; both refuse a NaN or
-infinite number before writing anything.
+``log:start:stop:count``.  A value beyond the float range raises
+``ConfigError``, and so does a fraction, NaN or infinity for ``population``
+and ``trust_threshold``, which take whole numbers as base values and on axes
+alike.  :func:`write_csv` writes a sweep table and :func:`write_rows` every
+other command line table; both refuse a NaN or infinite number first.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .evolution import EvolutionParams
 from .game_model import GameSpec, check_game
-from .metrics import pool_cooperation, selfplay_cooperation_index, strategy_pool
+from .metrics import cooperation_report, pool_cooperation, selfplay_cooperation_index, strategy_pool
 from .payoffs import payoff_tables
 
 SECTIONS = {
@@ -60,7 +60,7 @@ PARAM_NAMES = tuple(name for names in SECTIONS.values() for name in names)
 _INTEGER_PARAMS = ("population", "trust_threshold")
 _POOL_PARAMS = ("trust_threshold", "check_prob", "expected_rounds")
 
-STRATEGY_ORDER = ("ALLC", "ALLD", "TFT", "TUC", "TUD")
+STRATEGY_ORDER = tuple(spec.label for spec in strategy_pool(1, 0.0))
 # The parameters in the order of the table's first columns, sorted by name.
 _COLUMN_PARAMS = tuple(sorted(PARAM_NAMES))
 _COLUMNS = (
@@ -108,14 +108,16 @@ class SweepConfig:
         size = math.prod(len(values) for _, values in self.axes)
         if size > _MAX_POINTS:
             raise ConfigError(f"sweep grid has {size} points, more than {_MAX_POINTS}")
-        # A fraction would be truncated at evaluation while the CSV kept its
-        # unrounded label, so integer parameters take whole values only.
-        for name in _INTEGER_PARAMS:
-            value = getattr(self, name)
+        # A value beyond the float range (an int of 10**400) cannot fill a float column,
+        # and a fraction would be truncated at evaluation while the CSV kept its label.
+        for name, value in self.base_parameters().items():
             for v in (value, *axes.get(name, ())):
-                if not float(v).is_integer():
+                if not isinstance(v, float) and abs(v) > sys.float_info.max:
+                    raise ConfigError(f"{name} must be within the float range, got {v}")
+                if name in _INTEGER_PARAMS and not float(v).is_integer():
                     raise ConfigError(f"{name} takes integers, got {v}")
-            object.__setattr__(self, name, int(value))
+            if name in _INTEGER_PARAMS:
+                object.__setattr__(self, name, int(value))
 
     def base_parameters(self) -> dict[str, float]:
         return {
@@ -253,36 +255,28 @@ class SweepTable(Sequence):
         return dict(zip(self.columns, self.values[index].tolist()))
 
 
-def _listed(value) -> list:
-    """A stack's column, or one point's own value, as a list of Python numbers."""
-    return value.tolist() if isinstance(value, np.ndarray) else [value]
-
-
-def _fill(rows: np.ndarray, params) -> None:
-    """Fill ``rows``, points sharing N and beta, as one stack through
-    ``pool_cooperation``, building each distinct strategy pool once.  The checks
-    read ``params``: the stack's columns by name, or one point's own values for
-    its errors to print; the sums read the float columns of ``rows``."""
-    check_game(*(params[name] for name in _GAME_PARAMS))
+def _fill(rows: np.ndarray) -> None:
+    """Fill ``rows``, points sharing N and beta, from their float parameter
+    columns as one stack through ``pool_cooperation``, building each distinct
+    strategy pool once; its checks run in a single point's order (game, N and beta first)."""
+    column = dict(zip(_COLUMN_PARAMS, rows.T))
+    check_game(*(column[name] for name in _GAME_PARAMS))
+    params = EvolutionParams(int(column["population"][0]), column["selection_strength"][0].item())
     keys, inverse = {}, []  # the distinct (theta, p, rounds) in order, and each point's
-    for key in zip(*(_listed(params[name]) for name in _POOL_PARAMS)):
+    for key in zip(*(column[name].tolist() for name in _POOL_PARAMS)):
         inverse.append(keys.setdefault(key, len(keys)))
     pools = [strategy_pool(int(theta), prob) for theta, prob, _ in keys]
     selfplay = np.array([  # also checks theta against the rounds
         [selfplay_cooperation_index(s, rounds) for s in pool]
         for pool, (_, _, rounds) in zip(pools, keys)
     ])
-    column = dict(zip(_COLUMN_PARAMS, rows.T))
     with np.errstate(over="ignore"):  # payoff_tables names an entry that overflows
         stakes = [column["payoff_scale"] * column[name] for name in _GAME_PARAMS[:4]]
     values = payoff_tables(
         [spec.kind for spec in pools[0]], *stakes,  # T, R, P, S
         *map(column.get, ("expected_rounds", "check_cost", "trust_threshold", "check_prob")),
     )
-    population, beta = (_listed(params[name])[0] for name in ("population", "selection_strength"))
-    freqs, _, coop_with, coop_without = pool_cooperation(
-        values, selfplay[inverse], EvolutionParams(int(population), beta)
-    )
+    freqs, _, coop_with, coop_without = pool_cooperation(values, selfplay[inverse], params)
     out = rows[:, len(_COLUMN_PARAMS):]
     out[:, :5], out[:, 5], out[:, 6], out[:, 7] = (
         freqs, coop_with, coop_without, coop_with - coop_without
@@ -293,14 +287,15 @@ def _evaluate(values: np.ndarray, start: int, stop: int, config: SweepConfig) ->
     """Fill the table rows ``start`` to ``stop``, points sharing N and beta.
 
     A stack is refused exactly when one of its points is refused alone, so a
-    refused stack is halved, first half first, down to its first refused point.
-    Its error is raised again from its own base and axis values, so that an int
-    prints as one, naming its axis values: at most 3n points in
-    2 ceil(log2 n) + 1 stacks.
+    refused stack is halved, first half first, down to its first refused point:
+    at most 3n points in 2 ceil(log2 n) + 1 stacks.  Its error is
+    ``cooperation_report``'s at its own base and axis values, so that an int
+    prints as one and N or beta is named first, as by ``trustevo coop-report``,
+    followed by its axis values.
     """
     rows = values[start:stop]
     try:
-        _fill(rows, dict(zip(_COLUMN_PARAMS, rows.T)))
+        _fill(rows)
     except (ValueError, NumericalError) as exc:
         if stop - start > 1:
             half = (start + stop + 1) // 2
@@ -311,7 +306,9 @@ def _evaluate(values: np.ndarray, start: int, stop: int, config: SweepConfig) ->
         point = config.base_parameters()
         point.update((name, axis[i]) for (name, axis), i in zip(config.axes, at))
         try:
-            _fill(rows, point)
+            game = GameSpec(**{name: point[name] for name in _GAME_PARAMS})
+            params = EvolutionParams(int(point["population"]), point["selection_strength"])
+            cooperation_report(game, params, int(point["trust_threshold"]), point["check_prob"])
         except (ValueError, NumericalError) as own:
             exc = own
         at = ", ".join(f"{name}={point[name]!r}" for name, _ in config.axes)

@@ -179,7 +179,7 @@ class TestEvolutionParams:
             EvolutionParams(10**6 + 1, 0.1)
 
     def test_non_finite_selection_is_rejected(self):
-        for beta in (math.nan, math.inf):
+        for beta in (math.nan, math.inf, 10**400):  # an int no float holds
             with pytest.raises(ParameterDomainError, match="finite"):
                 EvolutionParams(population_size=100, selection_strength=beta)
 
@@ -741,6 +741,12 @@ class TestKernelBytes:
 
 
 class TestStationaryDistribution:
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,)])
+    def test_a_table_that_is_not_square_is_refused(self, shape):
+        with pytest.raises(ParameterDomainError) as refused:
+            stationary_distribution(np.zeros(shape))
+        assert str(refused.value) == f"transition table must be square, got {shape}"
+
     def test_default_chain_frozen_values(self):
         matrix = markov_transition_matrix(DEFAULT_VALUES, DEFAULT_PARAMS)
         sd = stationary_distribution(matrix, [s.label for s in DEFAULT_SET])

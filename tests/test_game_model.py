@@ -62,10 +62,14 @@ class TestGameSpecValidation:
         ["temptation", "reward", "punishment", "sucker",
          "payoff_scale", "check_cost", "expected_rounds"],
     )
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="int-beyond-floats")],
+    )
     def test_non_finite_numbers_are_rejected(self, field, value):
         """Finiteness is checked first, so a NaN or infinite table entry is
-        a domain error rather than a dilemma violation."""
+        a domain error rather than a dilemma violation.  An int beyond the
+        float range is not finite either, rather than overflowing later."""
         with pytest.raises(ParameterDomainError, match=f"{field} must be finite"):
             GameSpec(**{field: value})
 

@@ -3,8 +3,11 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -132,6 +135,25 @@ class TestSweepConfigValidation:
         its unrounded label in the CSV."""
         with pytest.raises(ConfigError, match="takes integers"):
             SweepConfig(game=make_prisoners_dilemma(), **{name: value})
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"population": 10**400}, "population"),
+            ({"trust_threshold": 10**400}, "trust_threshold"),
+            ({"selection_strength": 10**400}, "selection_strength"),
+            ({"check_prob": -(10**400)}, "check_prob"),
+            ({"axes": (("check_cost", (0.1, 10**400)),)}, "check_cost"),
+            ({"axes": (("population", (100, 10**400)),)}, "population"),
+        ],
+        ids=["population", "threshold", "selection", "check-prob", "cost-axis", "population-axis"],
+    )
+    def test_a_real_beyond_the_float_range_is_refused(self, kwargs, name):
+        """Each value fills a float column, so an int no float can hold is
+        refused by name before a conversion overflows on it."""
+        message = f"^{name} must be within the float range, got -?1000"
+        with pytest.raises(ConfigError, match=message):
+            SweepConfig(**kwargs)
 
     def test_grid_size_is_bounded(self):
         """A grid is refused by its point count before any point runs."""
@@ -370,6 +392,41 @@ class TestSweepEvaluation:
         with pytest.raises(ParameterDomainError, match=f"^{re.escape(message)}$"):
             run_sweep(config)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        evolution=st.sampled_from(
+            [{}, {"population": 1}, {"population": 0}, {"population": 2_000_000},
+             {"selection_strength": -0.1}, {"selection_strength": math.nan},
+             {"selection_strength": math.inf}]
+        ),
+        other=st.sampled_from(
+            [{}, {"trust_threshold": 4}, {"trust_threshold": 60},
+             {"check_prob": 1.5}, {"check_prob": math.nan}, {"expected_rounds": 3},
+             {"expected_rounds": 2.5}, {"payoff_scale": 100.0}, {"payoff_scale": 1e308}]
+        ),
+    )
+    def test_a_refused_point_raises_the_error_of_its_cooperation_report(self, evolution, other):
+        """Up to two faults, a bad N or beta plus a bad theta, p, rounds or
+        stake: the sweep raises what ``cooperation_report`` raises at the
+        same values, N or beta first, as the command line does."""
+        point = {"expected_rounds": 4, "payoff_scale": 1.0, "population": 100,
+                 "selection_strength": 0.1, "trust_threshold": 3, "check_prob": 0.25,
+                 **evolution, **other}
+        game = GameSpec(expected_rounds=point.pop("expected_rounds"),
+                        payoff_scale=point.pop("payoff_scale"))
+        expected = None
+        try:
+            params = EvolutionParams(point["population"], point["selection_strength"])
+            cooperation_report(game, params, point["trust_threshold"], point["check_prob"])
+        except (ValueError, NumericalError) as exc:
+            expected = type(exc), f"{exc} (sweep point without axes)"
+        try:
+            rows = run_sweep(SweepConfig(game=game, **point))
+        except (ValueError, NumericalError) as exc:
+            assert (type(exc), str(exc)) == expected
+        else:
+            assert expected is None and len(rows) == 1
+
     def test_a_long_run_is_stacked_in_bounded_blocks(self):
         """A 20,000-point run at one N and beta holds at most a block of
         points' tables, solves and byte match beside its rows: 36 MiB above
@@ -595,6 +652,20 @@ check_prob = 0.6
         with pytest.raises(ConfigError, match=r"\[game\] reward"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("lin:a:1:3", "could not convert string to float: 'a'"),
+            ("log:1:10:x", "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_spaced_axis_bounds_and_count_must_be_numbers(self, spec, message, tmp_path):
+        path = self.write(tmp_path, f"[sweep]\ncheck_cost = {spec}\n")
+        with pytest.raises(ConfigError) as refused:
+            parse_config(path)
+        assert str(refused.value) == f"axis 'check_cost': {message}"
+        assert main(["sweep", "--config", path]) == 1
+
     def test_bad_axis_specs(self, tmp_path):
         for body in (
             "[sweep]\ncheck_cost = lin:0:1\n",
@@ -620,6 +691,21 @@ def test_cli_bytes_are_pinned(command, code, digest, stderr, capsys):
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert err == ast.literal_eval(stderr)
+
+
+@pytest.mark.parametrize("command", ["payoff-matrix", "coop-report --rounds 4 --payoff-scale 100"])
+def test_the_module_runs_as_a_process(command):
+    """``python -m trustevo`` in a child process: the exit code that reaches
+    the shell, the stdout bytes and the stderr are the pinned ones."""
+    code, digest, stderr = next(pin[1:] for pin in CLI_PINS if pin[0] == command)
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    child = subprocess.run(
+        [sys.executable, "-m", "trustevo", *shlex.split(command)], capture_output=True, env=env
+    )
+    assert child.returncode == int(code)
+    assert hashlib.sha256(child.stdout).hexdigest() == digest
+    assert child.stderr.decode() == ast.literal_eval(stderr)
 
 
 class TestCliTables:
@@ -949,6 +1035,19 @@ class TestCliNonFinite:
 
 
 class TestCliRefusedSweepPoint:
+    def test_a_sweep_point_is_refused_as_coop_report_refuses_it(self, tmp_path, capsys):
+        """Population 1 and threshold 60 break two rules; both commands name
+        the population, with one exit code."""
+        code = main(["coop-report", "--population", "1", "--trust-threshold", "60"])
+        report = capsys.readouterr()
+        path = tmp_path / "sweep.ini"
+        path.write_text("[evolution]\npopulation = 1\n[trust]\nthreshold = 60\n")
+        assert main(["sweep", "--config", str(path)]) == code == 1
+        swept = capsys.readouterr()
+        assert report.out == swept.out == ""
+        assert report.err == "error: population_size must be an integer >= 2, got 1\n"
+        assert swept.err == report.err.replace("\n", " (sweep point without axes)\n")
+
     def test_an_overflowed_stake_is_one_line(self, tmp_path, capsys):
         """The error line alone, with no RuntimeWarning written before it."""
         path = tmp_path / "stake.ini"
