@@ -12,6 +12,7 @@ from .errors import (
     AlternationDominanceError,
     ConfigError,
     DilemmaViolationError,
+    InputError,
     NumericalError,
     ParameterDomainError,
     StateSpaceError,
@@ -73,6 +74,7 @@ __all__ = [
     "DilemmaViolationError",
     "EvolutionParams",
     "GameSpec",
+    "InputError",
     "MatchOutcome",
     "MonteCarloPayoffs",
     "NumericalError",

@@ -5,8 +5,8 @@ Subcommands cover the full pipeline: ``payoff-matrix``, ``fixation``,
 Options come from ``sweep.SECTIONS``; each subcommand returns rows, which
 ``sweep.write_rows`` writes as CSV to stdout or ``--out``, or, for ``sweep``,
 a table, which ``sweep.write_csv`` writes.  Exit codes: 0 on
-success, 1 for configuration or usage problems, 2 for numerical failures; a
-NaN or infinite result is one, and leaves stdout empty.
+success, 1 for an ``errors.InputError`` or an ``OSError``, 2 for an
+``errors.NumericalError``; a NaN or infinite result is one, and leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -14,14 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    AlternationDominanceError,
-    ConfigError,
-    DilemmaViolationError,
-    NumericalError,
-    ParameterDomainError,
-    StateSpaceError,
-)
+from .errors import ConfigError, InputError, NumericalError
 from .evolution import (
     EvolutionParams,
     fixation_probability,
@@ -213,16 +206,10 @@ def main(argv=None) -> int:
         output = _SUBCOMMANDS[args.command][0](args)
         (write_csv if isinstance(output, SweepTable) else write_rows)(output, args.out)
         return getattr(args, "status", 0)
-    except (
-        ConfigError,
-        ParameterDomainError,
-        DilemmaViolationError,
-        AlternationDominanceError,
-        OSError,
-    ) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, StateSpaceError) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,32 +1,37 @@
-"""Exception types shared across the package, the number checks and the stack locator."""
+"""Exception types shared across the package, each an ``InputError`` or a ``NumericalError``,
+the number checks and the stack locator."""
 
 import numbers
 
 import numpy as np
 
 
-class ParameterDomainError(ValueError):
-    """A numeric parameter lies outside its admissible domain."""
-
-
-class DilemmaViolationError(ValueError):
-    """The one-shot payoff table violates the prisoner's dilemma ordering."""
-
-
-class AlternationDominanceError(ValueError):
-    """Alternating unilateral defection would beat mutual cooperation."""
-
-
-class StateSpaceError(RuntimeError):
-    """Internal guard: exact match enumeration exceeded its state budget."""
+class InputError(ValueError):
+    """A refused input: parameter, table, configuration or usage; command line exit code 1."""
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed to produce a trustworthy result."""
+    """A numerical routine failed to produce a trustworthy result; command line exit code 2."""
 
 
-class ConfigError(ValueError):
+class ParameterDomainError(InputError):
+    """A numeric parameter lies outside its admissible domain."""
+
+
+class DilemmaViolationError(InputError):
+    """The one-shot payoff table violates the prisoner's dilemma ordering."""
+
+
+class AlternationDominanceError(InputError):
+    """Alternating unilateral defection would beat mutual cooperation."""
+
+
+class ConfigError(InputError):
     """A sweep configuration file or CLI invocation is malformed."""
+
+
+class StateSpaceError(NumericalError):
+    """Internal guard: exact match enumeration exceeded its state budget."""
 
 
 def require_int(name: str, value, minimum: int, maximum=None):

@@ -86,8 +86,8 @@ def group_payoffs(
     Self-interaction is excluded, so each player averages the match payoff
     over the other n - 1 members of the population.
     """
-    if not 1 <= k <= n - 1:
-        raise ParameterDomainError(f"k must lie in [1, {n - 1}], got {k}")
+    require_int("n", n, 2, _MAX_POPULATION)
+    require_int("k", k, 1, n - 1)
     values = np.asarray(values, dtype=float)
     if require_int("a", a, 0) >= len(values) or require_int("b", b, 0) >= len(values):
         raise ParameterDomainError(f"a and b must be below {len(values)}, got {a} and {b}")
@@ -101,7 +101,8 @@ def group_payoffs(
 
 def fermi_probability(payoff_diff: float, beta: float) -> float:
     """Probability of imitating a role model whose payoff is higher by diff."""
-    if not (math.isfinite(payoff_diff) and 0 <= beta < np.inf):
+    payoff_diff, beta = require_real("payoff_diff", payoff_diff), require_real("beta", beta)
+    if not (abs(payoff_diff) <= sys.float_info.max and 0 <= beta <= sys.float_info.max):
         raise ParameterDomainError(f"need a finite diff and beta >= 0, got {payoff_diff}, {beta}")
     x = beta * payoff_diff
     e = np.exp(-abs(x))  # never overflows

@@ -5,6 +5,7 @@ a time, so its long-run cooperation frequency is the stationary-weighted
 average of each strategy's self-play cooperation index.  ``pool_cooperation``
 takes one payoff table, or a stack, through fixation, chain and stationary
 solve to those averages; ``cooperation_report`` and the sweep both call it.
+A trust threshold must lie below the expected rounds, by the rule of ``payoffs``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .evolution import (
     stationary_distribution,
 )
 from .game_model import GameSpec
-from .payoffs import payoff_tables
+from .payoffs import _trust_threshold, payoff_tables
 from .strategies import ALLC, ALLD, TFT, StrategyKind, StrategySpec, tuc, tud
 
 
@@ -35,15 +36,10 @@ def selfplay_cooperation_index(spec: StrategySpec, rounds: float) -> float:
     """
     if not rounds >= 1:
         raise ParameterDomainError(f"rounds must be at least 1, got {rounds}")
-    kind = spec.kind
-    if kind in (StrategyKind.TUC, StrategyKind.TUD):
-        if not spec.trust_threshold < rounds:
-            raise ParameterDomainError(
-                f"trust threshold {spec.trust_threshold} must be below the expected rounds {rounds}"
-            )
-    if kind is StrategyKind.ALLD:
+    _trust_threshold((spec,), rounds)
+    if spec.kind is StrategyKind.ALLD:
         return 0.0
-    if kind is StrategyKind.TUD:
+    if spec.kind is StrategyKind.TUD:
         return spec.trust_threshold / rounds
     return 1.0
 

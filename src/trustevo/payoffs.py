@@ -19,7 +19,7 @@ independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -135,10 +135,10 @@ class PayoffMatrix:
 
     strategies: tuple[StrategySpec, ...]
     values: np.ndarray
-    labels: tuple[str, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.labels = tuple(s.label for s in self.strategies)
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(s.label for s in self.strategies)
 
 
 def payoff_matrix(strategies: tuple[StrategySpec, ...], game: GameSpec) -> PayoffMatrix:

@@ -23,11 +23,12 @@ line options take their names from it.  A section's INI key is
 the parameter name without the section prefix (``[trust] threshold`` is
 ``trust_threshold``); each key under ``[sweep]`` is a full name and adds one
 axis, whose values are an explicit comma list, ``lin:start:stop:count`` or
-``log:start:stop:count``.  A value beyond the float range raises
-``ConfigError``, and so does a fraction, NaN or infinity for ``population``
-and ``trust_threshold``, which take whole numbers as base values and on axes
-alike.  :func:`write_csv` writes a sweep table and :func:`write_rows` every
-other command line table; both refuse a NaN or infinite number first.
+``log:start:stop:count``.  A bool, a non-number or a value beyond the float
+range raises ``ConfigError``, as a base value and on an axis, and so does a
+fraction, NaN or infinity for ``population`` and ``trust_threshold``, which
+take whole numbers.  :func:`write_csv` writes a sweep table and
+:func:`write_rows` every other command line table; both refuse a NaN or
+infinite number first.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, InputError, NumericalError
 from .evolution import EvolutionParams
 from .game_model import GameSpec, check_game
 from .metrics import cooperation_report, pool_cooperation, selfplay_cooperation_index, strategy_pool
@@ -111,6 +112,8 @@ class SweepConfig:
         # A value beyond the float range (an int of 10**400) cannot fill a float column,
         # and a fraction would be truncated at evaluation while the CSV kept its label.
         for name, value in self.base_parameters().items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} holds {value!r}, which is not a number")
             for v in (value, *axes.get(name, ())):
                 if not isinstance(v, float) and abs(v) > sys.float_info.max:
                     raise ConfigError(f"{name} must be within the float range, got {v}")
@@ -296,7 +299,7 @@ def _evaluate(values: np.ndarray, start: int, stop: int, config: SweepConfig) ->
     rows = values[start:stop]
     try:
         _fill(rows)
-    except (ValueError, NumericalError) as exc:
+    except (InputError, NumericalError) as exc:
         if stop - start > 1:
             half = (start + stop + 1) // 2
             _evaluate(values, start, half, config)
@@ -309,7 +312,7 @@ def _evaluate(values: np.ndarray, start: int, stop: int, config: SweepConfig) ->
             game = GameSpec(**{name: point[name] for name in _GAME_PARAMS})
             params = EvolutionParams(int(point["population"]), point["selection_strength"])
             cooperation_report(game, params, int(point["trust_threshold"]), point["check_prob"])
-        except (ValueError, NumericalError) as own:
+        except (InputError, NumericalError) as own:
             exc = own
         at = ", ".join(f"{name}={point[name]!r}" for name, _ in config.axes)
         raise type(exc)(f"{exc} (sweep point {at or 'without axes'})") from None

@@ -22,7 +22,8 @@ from trustevo.evolution import (
     simulate_fixation,
     stationary_distribution,
 )
-from trustevo.game_model import make_prisoners_dilemma
+from trustevo.game_model import GameSpec, make_prisoners_dilemma
+from trustevo.metrics import cooperation_report, strategy_pool
 from trustevo.payoffs import payoff_matrix
 from trustevo.strategies import ALLC, ALLD, TFT, tuc, tud
 
@@ -208,10 +209,18 @@ class TestFermi:
     @pytest.mark.parametrize(
         "diff, beta",
         [(math.nan, 0.1), (math.inf, 0.0), (-math.inf, 0.1), (1.0, -1.0), (1.0, math.nan),
-         (1.0, math.inf)],
+         (1.0, math.inf), (1.0, 10**400), (10**400, 0.1), (-(10**400), 0.1)],
     )
     def test_a_non_finite_difference_or_a_bad_beta_is_refused(self, diff, beta):
         with pytest.raises(ParameterDomainError, match="finite diff and beta >= 0"):
+            fermi_probability(diff, beta)
+
+    @pytest.mark.parametrize(
+        "diff, beta", [("x", 0.1), (1.0, "0.1"), (None, 0.1), (1.0, True), (True, 0.1)]
+    )
+    def test_a_non_number_or_a_bool_is_refused(self, diff, beta):
+        """As by ``EvolutionParams``: a bool is not taken for 0 or 1."""
+        with pytest.raises(ParameterDomainError, match="must be a real number, got"):
             fermi_probability(diff, beta)
 
     @given(
@@ -248,6 +257,21 @@ class TestGroupPayoffs:
             group_payoffs(self.VALUES, 0, 1, k=0, n=100)
         with pytest.raises(ParameterDomainError):
             group_payoffs(self.VALUES, 0, 1, k=100, n=100)
+
+    @pytest.mark.parametrize(
+        "k, n, message",
+        [
+            (1.5, 10, "k must be an integer >= 1, got 1.5"),
+            (1.0, 10, "k must be an integer >= 1, got 1.0"),
+            (True, 10, "k must be an integer >= 1, got True"),
+            (1, 2.5, "n must be an integer >= 2, got 2.5"),
+            (1, True, "n must be an integer >= 2, got True"),
+            (1, 10**400, "n must be at most 1000000, got 1000"),
+        ],
+    )
+    def test_a_count_that_is_not_a_whole_int_is_refused(self, k, n, message):
+        with pytest.raises(ParameterDomainError, match=message):
+            group_payoffs(self.VALUES, 0, 1, k=k, n=n)
 
     @pytest.mark.parametrize("a, b", [(-1, 0), (0, 2), (0, 5), (True, 0), (0, 1.0)])
     def test_an_index_outside_the_table_is_refused(self, a, b):
@@ -901,6 +925,106 @@ class TestSmallMutationReduction:
             ratios.append(np.max(np.abs(frequencies - limit.probabilities)) / mu)
         if max(ratios) > 1e-4:
             assert ratios[1] == pytest.approx(ratios[0], rel=0.05)
+
+
+def indexed_composition_chain(values, n, beta, mu):
+    """``composition_chain`` built by array indexing: each ordered strategy
+    pair moves one player in every composition at once.  A composition's code
+    is its counts in base n + 1, so a move adds one place value and takes
+    another.  The states come in the same lexicographic order."""
+    size = len(values)
+    grid = np.indices((n + 1,) * size).reshape(size, -1).T
+    states = grid[grid.sum(axis=1) == n]
+    radix = (n + 1) ** np.arange(size)
+    index = np.zeros((n + 1) ** size, dtype=int)
+    index[states @ radix] = np.arange(len(states))
+    fitness = (states @ values.T - np.diag(values)) / (n - 1)
+    chain = np.zeros((len(states), len(states)))
+    for i, j in itertools.permutations(range(size), 2):
+        live = np.flatnonzero(states[:, i])
+        z = beta * (fitness[live, j] - fitness[live, i])
+        e = np.exp(-np.abs(z))
+        copy = states[live, j] / (n - 1) * np.where(z >= 0, 1.0, e) / (1.0 + e)
+        target = index[states[live] @ radix - radix[i] + radix[j]]
+        chain[live, target] = states[live, i] / n * (mu / (size - 1) + (1.0 - mu) * copy)
+    np.fill_diagonal(chain, 1.0 - chain.sum(axis=1))
+    return states, chain
+
+
+def extrapolated_homogeneous_mass(values, n, beta):
+    """The full chain's stationary mass on the homogeneous states,
+    renormalised, at mu = 1e-4 and 1e-5, extrapolated to mu -> 0 by
+    Richardson's rule for an error of first order: (10 pi(1e-5) - pi(1e-4)) / 9."""
+    masses = []
+    for mu in (1e-4, 1e-5):
+        states, chain = indexed_composition_chain(values, n, beta, mu)
+        system = chain.T - np.eye(len(chain))
+        system[-1] = 1.0
+        rhs = np.zeros(len(chain))
+        rhs[-1] = 1.0
+        mass = np.linalg.solve(system, rhs)[np.argmax(states == n, axis=0)]
+        masses.append(mass / mass.sum())
+    return (10.0 * masses[1] - masses[0]) / 9.0
+
+
+def assert_report_matches_full_chain(game, n, beta, theta, check_prob):
+    """``cooperation_report``'s five-strategy stationary vector lies within
+    1e-6 of the extrapolated full chain on the same payoff table."""
+    values = payoff_matrix(strategy_pool(theta, check_prob), game).values
+    report = cooperation_report(game, EvolutionParams(n, beta), theta, check_prob)
+    expected = extrapolated_homogeneous_mass(values, n, beta)
+    np.testing.assert_allclose(report.stationary_with.probabilities, expected, atol=1e-6)
+
+
+class TestFullChainOracle:
+    """The small-mutation reduction (fixation probabilities between
+    homogeneous states, divided among the S - 1 mutants) against the process
+    it stands for: the full pairwise-comparison chain with mutation, whose
+    homogeneous mass tends to the reduced chain's stationary vector as
+    mu -> 0.  It shares only the payoff table with the library."""
+
+    def test_the_indexed_chain_is_the_loop_built_chain(self):
+        params = EvolutionParams(5, 0.3)
+        states, chain = composition_chain(DEFAULT_VALUES, params, 1e-3)
+        indexed_states, indexed = indexed_composition_chain(DEFAULT_VALUES, 5, 0.3, 1e-3)
+        np.testing.assert_array_equal(indexed_states, states)
+        np.testing.assert_allclose(indexed, chain, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "game, n, beta, theta, check_prob",
+        [
+            (GameSpec(), 10, 0.1, 3, 0.25),
+            (GameSpec(check_cost=0.5, expected_rounds=20.0), 8, 2.0, 5, 0.1),
+            (GameSpec(expected_rounds=4.0, payoff_scale=100.0), 10, 0.1, 3, 0.25),
+        ],
+        ids=["default", "theta5", "stiff"],
+    )
+    def test_reports_match_the_extrapolated_full_chain(self, game, n, beta, theta, check_prob):
+        """Within 1e-6; a probe of these games found at most 3e-8, against
+        some 1e-5 before extrapolation."""
+        assert_report_matches_full_chain(game, n, beta, theta, check_prob)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(3, 8),
+        beta=st.floats(0.01, 1.0),
+        rounds=st.floats(5.0, 60.0),
+        theta=st.integers(1, 4),
+        check_prob=st.floats(0.01, 1.0),
+        check_cost=st.floats(0.0, 1.0),
+        scale=st.floats(0.1, 3.0),
+    )
+    def test_random_games_match_the_extrapolated_full_chain(
+        self, n, beta, rounds, theta, check_prob, check_cost, scale
+    ):
+        """Draws where each homogeneous state is left at a rate well above
+        mu = 1e-5 (beta * scale at most 3, N at most 8), so that the
+        extrapolation is in its asymptotic regime: a probe of 150 draws and
+        every corner of these ranges found at most 7e-8.  Near beta = 2 and
+        stake 10 at N = 8 a state can be left at some 1e-5, and the full
+        chain at mu = 1e-5 is then still far from its limit."""
+        game = GameSpec(check_cost=check_cost, expected_rounds=rounds, payoff_scale=scale)
+        assert_report_matches_full_chain(game, n, beta, theta, check_prob)
 
 
 def _frozen_simulate_fixation(values, mutant, resident, params, runs, seed):

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trustevo.cli as cli
+import trustevo.errors as errors
 import trustevo.evolution as evolution
 import trustevo.sweep as sweep
 from trustevo.cli import _game_from_args, build_parser, main
@@ -192,6 +194,23 @@ class TestSweepConfigValidation:
     def test_an_axis_that_is_not_a_flat_sequence_of_numbers_is_refused(self, values, message):
         with pytest.raises(ConfigError, match=f"sweep axis 'check_cost' {message}"):
             SweepConfig(axes=(("check_cost", values),))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("population", "100"),
+            ("population", [100]),
+            ("population", True),
+            ("selection_strength", True),
+            ("trust_threshold", True),
+            ("check_prob", None),
+            ("check_prob", np.bool_(False)),
+        ],
+    )
+    def test_a_base_value_that_is_not_a_number_is_refused(self, name, value):
+        """As on an axis: a bool is not swept as 0 or 1."""
+        with pytest.raises(ConfigError, match=f"^{name} holds {re.escape(repr(value))}, which"):
+            SweepConfig(**{name: value})
 
     def test_integer_axes_accept_whole_floats(self):
         config = SweepConfig(
@@ -1032,6 +1051,41 @@ class TestCliNonFinite:
             assert captured.err.startswith("numerical error:")
             assert re.search(message, captured.err)
         assert not target.exists()
+
+
+ERROR_CLASSES = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, Exception) and cls.__module__ == errors.__name__
+]
+
+
+class TestExitCodes:
+    def test_every_error_class_is_an_input_or_a_numerical_error(self):
+        assert len(ERROR_CLASSES) >= 7
+        for cls in ERROR_CLASSES:
+            assert issubclass(cls, (errors.InputError, errors.NumericalError)), cls.__name__
+
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_each_error_class_exits_with_its_code(self, error, capsys, monkeypatch):
+        def boom():
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "run_oracle_verification", boom)
+        code = main(["verify"])
+        if issubclass(error, errors.InputError):
+            assert (code, capsys.readouterr()) == (1, ("", "error: refused\n"))
+        else:
+            assert (code, capsys.readouterr()) == (2, ("", "numerical error: refused\n"))
+
+    def test_a_value_error_in_a_sweep_is_not_a_refused_point(self, monkeypatch):
+        """Only the package's errors name a sweep point; a plain ValueError is
+        a fault, and escapes as raised."""
+        def fault(rows):
+            raise ValueError("fault")
+
+        monkeypatch.setattr(sweep, "_fill", fault)
+        with pytest.raises(ValueError, match="^fault$"):
+            run_sweep(preset_config("fig3"))
 
 
 class TestCliRefusedSweepPoint:
