@@ -1,6 +1,8 @@
 """Exception types shared across the package, each an ``InputError`` or a ``NumericalError``,
 the number checks and the stack locator."""
 
+import contextlib
+import math
 import numbers
 
 import numpy as np
@@ -45,14 +47,21 @@ def require_int(name: str, value, minimum: int, maximum=None):
 
 
 def require_real(name: str, value):
-    """``value`` if it is a real number, such as a Python int or a numpy float;
-    bool, and anything that is not a real scalar, is refused.  An exact int or
-    float skips the ``numbers.Real`` check, which costs some 0.5 us a call."""
-    if type(value) not in (int, float) and (
-        isinstance(value, bool) or not isinstance(value, numbers.Real)
-    ):
+    """``value`` as a Python number: an int or a float as it is, another integral (a numpy
+    int) as an int and another real (a numpy float, a ``Fraction``) as the float it rounds
+    to.  One no float holds is refused as not finite: ``float()`` raises on such a fraction
+    and gives inf for such a long double.  A bool, or anything that is not a real scalar, is
+    refused.  An exact int or float skips the ``numbers.Real`` check (some 0.5 us)."""
+    if type(value) in (int, float):
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterDomainError(f"{name} must be a real number, got {value!r}")
-    return value
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    with contextlib.suppress(OverflowError):
+        if not math.isinf(number := float(value)) or abs(value) == math.inf:
+            return number
+    raise ParameterDomainError(f"{name} must be finite, got {value!s}")
 
 
 def first_failure(failing: np.ndarray) -> tuple[tuple[int, ...], str]:

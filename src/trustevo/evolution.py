@@ -65,6 +65,7 @@ class EvolutionParams:
         beta = require_real("selection_strength", self.selection_strength)
         if not 0 <= beta <= sys.float_info.max:  # an int of 10**400 is refused too
             raise ParameterDomainError(f"selection_strength must be finite and >= 0, got {beta}")
+        object.__setattr__(self, "selection_strength", beta)
 
 
 @dataclass
@@ -81,19 +82,13 @@ class StationaryDistribution:
 def group_payoffs(
     values: np.ndarray, a: int, b: int, k: int, n: int
 ) -> tuple[float, float]:
-    """Average payoffs of an A and a B player with k A-players among n.
-
-    Self-interaction is excluded, so each player averages the match payoff
-    over the other n - 1 members of the population.
-    """
+    """Average payoffs of an A and a B player with k A-players among n, from a table
+    the fixation routes take at n.  Self-interaction is excluded, so each player
+    averages the match payoff over the other n - 1 members of the population."""
     require_int("n", n, 2, _MAX_POPULATION)
     require_int("k", k, 1, n - 1)
-    values = np.asarray(values, dtype=float)
-    if require_int("a", a, 0) >= len(values) or require_int("b", b, 0) >= len(values):
-        raise ParameterDomainError(f"a and b must be below {len(values)}, got {a} and {b}")
+    values = _check_table(values, n, a=a, b=b)
     aa, ab, ba, bb = values[a, a], values[a, b], values[b, a], values[b, b]
-    if not (math.isfinite(aa) and math.isfinite(ab) and math.isfinite(ba) and math.isfinite(bb)):
-        raise NumericalError("payoff table holds a non-finite entry")
     pi_a = ((k - 1) * aa + (n - k) * ab) / (n - 1)
     pi_b = (k * ba + (n - k - 1) * bb) / (n - 1)
     return float(pi_a), float(pi_b)

@@ -55,7 +55,9 @@ class GameSpec:
     expected_rounds: float = 50.0
 
     def __post_init__(self) -> None:
-        check_game(*(require_real(name, value) for name, value in vars(self).items()))
+        for name in _FIELDS:
+            object.__setattr__(self, name, require_real(name, getattr(self, name)))
+        check_game(*vars(self).values())
 
     def scaled_payoffs(self) -> tuple[float, float, float, float]:
         """Return the scaled table (T, R, P, S), each multiplied by the scale."""

@@ -10,6 +10,7 @@ A trust threshold must lie below the expected rounds, by the rule of ``payoffs``
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ def selfplay_cooperation_index(spec: StrategySpec, rounds: float) -> float:
     TUC (mutual trust is never betrayed).  Two TUDs cooperate for exactly
     the trust-building phase and defect ever after.
     """
-    if not rounds >= 1:
-        raise ParameterDomainError(f"rounds must be at least 1, got {rounds}")
+    if not 1 <= rounds <= sys.float_info.max:
+        raise ParameterDomainError(f"rounds must be finite and at least 1, got {rounds}")
     _trust_threshold((spec,), rounds)
     if spec.kind is StrategyKind.ALLD:
         return 0.0
@@ -49,9 +50,9 @@ def population_cooperation(stationary: np.ndarray, indices: np.ndarray):
     one row; for a stack, one batched product, each row's own dot product bit for bit."""
     stationary = np.asarray(stationary, dtype=float)
     indices = np.asarray(indices, dtype=float)
-    if stationary.shape != indices.shape:
+    if stationary.ndim == 0 or stationary.shape != indices.shape:
         raise ParameterDomainError(
-            f"shape mismatch: {stationary.shape} vs {indices.shape}"
+            f"need equal shapes of at least one axis, got {stationary.shape} vs {indices.shape}"
         )
     average = (stationary[..., None, :] @ indices[..., None])[..., 0, 0]
     return float(average) if stationary.ndim == 1 else average
@@ -107,7 +108,7 @@ def cooperation_report(
     indices = [selfplay_cooperation_index(s, game.expected_rounds) for s in full]
     values = payoff_tables(
         [s.kind for s in full], *game.scaled_payoffs(), game.expected_rounds,
-        game.check_cost, trust_threshold, check_prob,
+        game.check_cost, trust_threshold, full[3].check_prob,
     )
     pi_with, pi_without, coop_with, coop_without = pool_cooperation(values, indices, params)
     return CooperationReport(

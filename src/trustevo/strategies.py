@@ -70,10 +70,11 @@ class StrategySpec:
                 )
         if self.kind is StrategyKind.TUC:
             p = self.check_prob
-            if p is None or not 0.0 <= require_real("TUC check_prob", p) <= 1.0:
+            if p is None or not 0.0 <= (number := require_real("TUC check_prob", p)) <= 1.0:
                 raise ParameterDomainError(
                     f"TUC needs check_prob in [0, 1], got {p!r}"
                 )
+            object.__setattr__(self, "check_prob", number)
         else:
             if self.check_prob is not None:
                 raise ParameterDomainError(f"{self.kind.value} takes no check_prob")

@@ -23,12 +23,12 @@ line options take their names from it.  A section's INI key is
 the parameter name without the section prefix (``[trust] threshold`` is
 ``trust_threshold``); each key under ``[sweep]`` is a full name and adds one
 axis, whose values are an explicit comma list, ``lin:start:stop:count`` or
-``log:start:stop:count``.  A bool, a non-number or a value beyond the float
+``log:start:stop:count``.  A bool, a non-number or an int beyond the float
 range raises ``ConfigError``, as a base value and on an axis, and so does a
 fraction, NaN or infinity for ``population`` and ``trust_threshold``, which
-take whole numbers.  :func:`write_csv` writes a sweep table and
-:func:`write_rows` every other command line table; both refuse a NaN or
-infinite number first.
+take whole numbers; the rest are kept as ``require_real``'s Python numbers.
+:func:`write_csv` writes a sweep table and :func:`write_rows` every other
+command line table; both refuse a NaN or infinite number first.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError, require_real
 from .evolution import EvolutionParams
 from .game_model import GameSpec, check_game
 from .metrics import cooperation_report, pool_cooperation, selfplay_cooperation_index, strategy_pool
@@ -114,13 +114,14 @@ class SweepConfig:
         for name, value in self.base_parameters().items():
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{name} holds {value!r}, which is not a number")
+            value = require_real(name, value)
             for v in (value, *axes.get(name, ())):
                 if not isinstance(v, float) and abs(v) > sys.float_info.max:
                     raise ConfigError(f"{name} must be within the float range, got {v}")
                 if name in _INTEGER_PARAMS and not float(v).is_integer():
                     raise ConfigError(f"{name} takes integers, got {v}")
-            if name in _INTEGER_PARAMS:
-                object.__setattr__(self, name, int(value))
+            if name not in _GAME_PARAMS:
+                object.__setattr__(self, name, int(value) if name in _INTEGER_PARAMS else value)
 
     def base_parameters(self) -> dict[str, float]:
         return {
@@ -130,20 +131,21 @@ class SweepConfig:
 
 
 def _axis_values(name: str, values) -> tuple:
-    """The values of the sweep axis ``name`` in a tuple, each kept as given but
-    for a numpy scalar, which becomes the Python number it holds."""
+    """The values of the sweep axis ``name`` in a tuple, each the Python number
+    ``require_real`` makes of it."""
     try:
         if isinstance(values, (str, bytes)):  # these would iterate as characters
             raise TypeError
-        kept = tuple(v.item() if isinstance(v, np.generic) else v for v in values)
+        kept = tuple(values)
     except TypeError:
         raise ConfigError(
             f"sweep axis {name!r} takes a sequence of numbers, got {values!r}"
         ) from None
     for value in kept:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigError(f"sweep axis {name!r} holds {value!r}, which is not a number")
-    return kept
+            shown = value.item() if isinstance(value, np.generic) else value  # np.True_ as True
+            raise ConfigError(f"sweep axis {name!r} holds {shown!r}, which is not a number")
+    return tuple(require_real(name, value) for value in kept)
 
 
 _CHECK_COSTS = tuple(i / 20 for i in range(21))
@@ -264,7 +266,7 @@ def _fill(rows: np.ndarray) -> None:
     strategy pool once; its checks run in a single point's order (game, N and beta first)."""
     column = dict(zip(_COLUMN_PARAMS, rows.T))
     check_game(*(column[name] for name in _GAME_PARAMS))
-    params = EvolutionParams(int(column["population"][0]), column["selection_strength"][0].item())
+    params = EvolutionParams(int(column["population"][0]), column["selection_strength"][0])
     keys, inverse = {}, []  # the distinct (theta, p, rounds) in order, and each point's
     for key in zip(*(column[name].tolist() for name in _POOL_PARAMS)):
         inverse.append(keys.setdefault(key, len(keys)))

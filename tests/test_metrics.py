@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +40,15 @@ class TestSelfplayIndex:
         with pytest.raises(ParameterDomainError):
             selfplay_cooperation_index(tud(3), 3.0)
 
+    @pytest.mark.parametrize("spec", [ALLC, ALLD, tud(3)])
+    @pytest.mark.parametrize(
+        "rounds", [math.inf, pytest.param(10**400, id="int-beyond-floats"), math.nan]
+    )
+    def test_rounds_beyond_the_floats_are_refused(self, spec, rounds):
+        """As ``GameSpec`` refuses them, rather than giving TUD no cooperation."""
+        with pytest.raises(ParameterDomainError, match="rounds must be finite and at least 1"):
+            selfplay_cooperation_index(spec, rounds)
+
 
 class TestPopulationCooperation:
     def test_weighted_average(self):
@@ -51,6 +62,10 @@ class TestPopulationCooperation:
     def test_shape_mismatch(self):
         with pytest.raises(ParameterDomainError):
             population_cooperation(np.array([0.5, 0.5]), np.array([1.0]))
+
+    def test_a_zero_dimensional_input_is_refused(self):
+        with pytest.raises(ParameterDomainError, match=r"got \(\) vs \(\)$"):
+            population_cooperation(np.float64(1.0), np.float64(0.5))
 
     @settings(max_examples=50, deadline=None)
     @given(
