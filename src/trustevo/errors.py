@@ -36,10 +36,12 @@ class StateSpaceError(NumericalError):
     """Internal guard: exact match enumeration exceeded its state budget."""
 
 
-def require_int(name: str, value, minimum: int, maximum=None):
-    """``value`` if it is an int of at least ``minimum`` and at most ``maximum``;
-    bool is refused."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+def require_int(name: str, value, minimum: int, maximum=None) -> int:
+    """``value`` as an int if it is integral (a numpy int too), at least ``minimum`` and at
+    most ``maximum``; a bool is refused.  An exact int skips the ``numbers.Integral`` check."""
+    if type(value) not in (int, bool) and isinstance(value, numbers.Integral):
+        value = int(value)
+    if type(value) is not int or value < minimum:
         raise ParameterDomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     if maximum is not None and value > maximum:
         raise ParameterDomainError(f"{name} must be at most {maximum}, got {value!r}")

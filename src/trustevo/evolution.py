@@ -15,7 +15,8 @@ to forward rate ratio at k mutants reduces to ``exp(-beta * delta(k))`` with
 ``1 / (1 + sum_i exp(-beta * cumsum(delta)_i))``, evaluated for all pairs of
 a payoff table at once, or once for each distinct pair of a stack of tables,
 directly when safe (which keeps neutral cases exact) and in log space when
-the exponents are large.  ``fixation_matrix`` serves a table and a stack alike.
+the exponents are large.  ``fixation_matrix`` serves a table and a stack alike;
+the single-pair routes take one table, whose checks also gather the pair's sub-table.
 
 ``simulate_fixation`` is the stochastic check of those probabilities.  Each
 call draws binomials from one PCG64 stream seeded by its ``seed``.  Binomial
@@ -61,10 +62,11 @@ class EvolutionParams:
     selection_strength: float
 
     def __post_init__(self) -> None:
-        require_int("population_size", self.population_size, 2, _MAX_POPULATION)
+        n = require_int("population_size", self.population_size, 2, _MAX_POPULATION)
         beta = require_real("selection_strength", self.selection_strength)
         if not 0 <= beta <= sys.float_info.max:  # an int of 10**400 is refused too
             raise ParameterDomainError(f"selection_strength must be finite and >= 0, got {beta}")
+        object.__setattr__(self, "population_size", n)
         object.__setattr__(self, "selection_strength", beta)
 
 
@@ -85,10 +87,9 @@ def group_payoffs(
     """Average payoffs of an A and a B player with k A-players among n, from a table
     the fixation routes take at n.  Self-interaction is excluded, so each player
     averages the match payoff over the other n - 1 members of the population."""
-    require_int("n", n, 2, _MAX_POPULATION)
-    require_int("k", k, 1, n - 1)
-    values = _check_table(values, n, a=a, b=b)
-    aa, ab, ba, bb = values[a, a], values[a, b], values[b, a], values[b, b]
+    n = require_int("n", n, 2, _MAX_POPULATION)
+    k = require_int("k", k, 1, n - 1)
+    bb, ba, ab, aa = _check_table(values, n, a=a, b=b)
     pi_a = ((k - 1) * aa + (n - k) * ab) / (n - 1)
     pi_b = (k * ba + (n - k - 1) * bb) / (n - 1)
     return float(pi_a), float(pi_b)
@@ -120,16 +121,20 @@ def _fixation_sums(args: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _check_table(values: np.ndarray, n: int, **indices: int) -> np.ndarray:
+def _check_table(values: np.ndarray, n: int, **pair: int) -> np.ndarray:
     """``values`` as a float array; refuse what fixation sums at population ``n`` cannot take:
-    a bad table or index."""
-    values = np.asarray(values, dtype=float)
-    shape = values.shape[-2:]
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2:
+    a bad table or index.  Given a (mutant, resident) pair by name, one table only, and
+    return that pair's sub-table (pi_rr, pi_rm, pi_mr, pi_mm) instead."""
+    values = np.asarray(values)
+    shape = values.shape if pair else values.shape[-2:]
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2 or not values.size:
         raise ParameterDomainError(
             f"need a square payoff table with at least two strategies, got {values.shape}"
         )
-    for name, index in indices.items():
+    if values.dtype.kind == "c":  # not cut to its real part
+        raise ParameterDomainError(f"need a real payoff table, got dtype {values.dtype}")
+    values = values.astype(float, copy=False)
+    for name, index in pair.items():
         if require_int(name, index, 0) >= shape[0]:
             raise ParameterDomainError(f"{name} must be below {shape[0]}, got {index}")
     bound = np.finfo(float).max / (2 * n)  # |cumsum(advantage)| <= 2 (N - 1) max |entry|
@@ -141,7 +146,10 @@ def _check_table(values: np.ndarray, n: int, **indices: int) -> np.ndarray:
         raise NumericalError(
             f"payoff entries beyond {bound:.3g} overflow fixation sums at N={n}{where}"
         )
-    return values
+    if not pair:
+        return values
+    m, r = pair.values()
+    return values[(r, r, m, m), (r, m, r, m)]
 
 
 @functools.cache
@@ -211,9 +219,8 @@ def fixation_probability(
     values: np.ndarray, mutant: int, resident: int, params: EvolutionParams
 ) -> float:
     """Probability that a single mutant takes over a resident population."""
-    values = _check_table(values, params.population_size, mutant=mutant, resident=resident)
-    r, m = resident, mutant
-    return float(pair_fixation(values[(r, r, m, m), (r, m, r, m)], params)[0])
+    pair = _check_table(values, params.population_size, mutant=mutant, resident=resident)
+    return float(pair_fixation(pair, params)[0])
 
 
 def chain_from_fixation(fixation: np.ndarray) -> np.ndarray:
@@ -248,10 +255,13 @@ def stationary_distribution(
     zero and the vector renormalised.  A ``(..., s, s)`` stack of chains gives
     ``(..., s)`` probabilities, and an error names the first failing chain.
     """
-    transition = np.asarray(transition, dtype=float)
+    transition = np.asarray(transition)
     shape = transition.shape[-2:]
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+    if len(shape) != 2 or shape[0] != shape[1] or not transition.size:
         raise ParameterDomainError(f"transition table must be square, got {transition.shape}")
+    if transition.dtype.kind == "c":
+        raise ParameterDomainError(f"transition table must be real, got dtype {transition.dtype}")
+    transition = transition.astype(float, copy=False)
     size = shape[0]
     stochastic = np.abs(transition.sum(axis=-1) - 1.0) <= 1e-12
     if not stochastic.all():
@@ -279,7 +289,7 @@ def stationary_distribution(
     except np.linalg.LinAlgError as exc:
         # LAPACK's solve fails on an exactly zero pivot, which is a zero sign.
         at, where = first_failure(np.linalg.slogdet(system)[0] == 0.0)
-        cond = np.linalg.cond(transition[at].T - np.eye(size) + np.ones((size, size)) / size)
+        cond = np.linalg.cond(system[at])
         raise NumericalError(
             f"stationary solve failed ({exc}); condition estimate {cond:.3e}; "
             f"the chain may be reducible{where}"
@@ -288,7 +298,7 @@ def stationary_distribution(
     if not (residual.max() <= 1e-9 and pi.min() >= -1e-12):  # a NaN fails too
         residual, lowest = residual.max(axis=-1), pi.min(axis=-1)
         at, where = first_failure(~((residual <= 1e-9) & (lowest >= -1e-12)))
-        cond = float(np.linalg.cond(system[at]))
+        cond = np.linalg.cond(system[at])
         raise NumericalError(
             f"stationary solve untrustworthy (residual {residual[at]:.3e}, "
             f"min entry {lowest[at]:.3e}, condition {cond:.3e}); "
@@ -321,13 +331,12 @@ def simulate_fixation(
     returned frequency has the distribution of ``runs`` separate chains.
     All draws come from one PCG64 stream seeded by ``seed``.
     """
-    require_int("runs", runs, 1, _MAX_RUNS)
-    require_int("seed", seed, 0)
+    runs = require_int("runs", runs, 1, _MAX_RUNS)
+    seed = require_int("seed", seed, 0)
     n = params.population_size
-    values = _check_table(values, n, mutant=mutant, resident=resident)
-    r, m = resident, mutant
+    pair = _check_table(values, n, mutant=mutant, resident=resident)
     with np.errstate(over="ignore"):  # beyond the float range the Fermi limits are exact
-        x = params.selection_strength * _advantage(values[(r, r, m, m), (r, m, r, m)], n)
+        x = params.selection_strength * _advantage(pair, n)
     e = np.exp(-np.abs(x))  # ``fermi_probability``, element for element
     up = np.where(x >= 0, 1.0, e) / (1.0 + e)
     binomial = np.random.Generator(np.random.PCG64(seed)).binomial

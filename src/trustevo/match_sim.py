@@ -306,7 +306,7 @@ def monte_carlo_payoffs(
     The samples run in lockstep blocks of ``_BLOCK * 512 // rounds``, at least
     one, so a block's draws stay within 8 MiB up to 524,288 rounds."""
     rounds = require_int("rounds", game.simulation_rounds(), 1, _MAX_ROUNDS)
-    require_int("samples", samples, 1, _MAX_SAMPLES)
+    samples = require_int("samples", samples, 1, _MAX_SAMPLES)
     rng = _generator(seed)
     totals = np.empty((2, samples))
     size = min(samples, max(1, _BLOCK * 512 // rounds))
@@ -343,7 +343,7 @@ def expected_outcomes(spec_a: StrategySpec, spec_b: StrategySpec, rounds: int) -
 def _outcome_counts(spec_a, spec_b, rounds, table):
     """:func:`expected_outcomes` walked with the behaviour ``table`` of
     :func:`_walk`, which a caller walking many pairs shares among them."""
-    require_int("rounds", rounds, 1, _MAX_ROUNDS)
+    rounds = require_int("rounds", rounds, 1, _MAX_ROUNDS)
     rows = []  # each walked round's counts; every round records
 
     def split(i, player, weight, prob, observed):

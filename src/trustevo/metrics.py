@@ -4,7 +4,8 @@ In the small-mutation limit the population sits in one homogeneous state at
 a time, so its long-run cooperation frequency is the stationary-weighted
 average of each strategy's self-play cooperation index.  ``pool_cooperation``
 takes one payoff table, or a stack, through fixation, chain and stationary
-solve to those averages; ``cooperation_report`` and the sweep both call it.
+solve to those averages; ``cooperation_report``, on ``payoff_matrix``'s table,
+and the sweep both call it.
 A trust threshold must lie below the expected rounds, by the rule of ``payoffs``.
 """
 
@@ -24,7 +25,7 @@ from .evolution import (
     stationary_distribution,
 )
 from .game_model import GameSpec
-from .payoffs import _trust_threshold, payoff_tables
+from .payoffs import _trust_threshold, payoff_matrix
 from .strategies import ALLC, ALLD, TFT, StrategyKind, StrategySpec, tuc, tud
 
 
@@ -102,15 +103,12 @@ def cooperation_report(
     check_prob: float = 0.25,
 ) -> CooperationReport:
     """Compare the classic three-strategy pool against the five-strategy one, from
-    a table built in floats; a sweep's refused point raises this call's error."""
+    ``payoff_matrix``'s table; a sweep's refused point raises this call's error."""
     full = strategy_pool(trust_threshold, check_prob)
-    labels = tuple(s.label for s in full)
     indices = [selfplay_cooperation_index(s, game.expected_rounds) for s in full]
-    values = payoff_tables(
-        [s.kind for s in full], *game.scaled_payoffs(), game.expected_rounds,
-        game.check_cost, trust_threshold, full[3].check_prob,
-    )
-    pi_with, pi_without, coop_with, coop_without = pool_cooperation(values, indices, params)
+    table = payoff_matrix(full, game)
+    labels = table.labels
+    pi_with, pi_without, coop_with, coop_without = pool_cooperation(table.values, indices, params)
     return CooperationReport(
         with_trust=coop_with,
         without_trust=coop_without,

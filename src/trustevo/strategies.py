@@ -62,22 +62,17 @@ class StrategySpec:
 
     def __post_init__(self) -> None:
         if self.kind in TRUST_KINDS:
-            require_int(f"{self.kind.value} trust_threshold", self.trust_threshold, 1)
-        else:
-            if self.trust_threshold is not None:
-                raise ParameterDomainError(
-                    f"{self.kind.value} takes no trust_threshold"
-                )
+            theta = require_int(f"{self.kind.value} trust_threshold", self.trust_threshold, 1)
+            object.__setattr__(self, "trust_threshold", theta)
+        elif self.trust_threshold is not None:
+            raise ParameterDomainError(f"{self.kind.value} takes no trust_threshold")
         if self.kind is StrategyKind.TUC:
             p = self.check_prob
             if p is None or not 0.0 <= (number := require_real("TUC check_prob", p)) <= 1.0:
-                raise ParameterDomainError(
-                    f"TUC needs check_prob in [0, 1], got {p!r}"
-                )
+                raise ParameterDomainError(f"TUC needs check_prob in [0, 1], got {p!r}")
             object.__setattr__(self, "check_prob", number)
-        else:
-            if self.check_prob is not None:
-                raise ParameterDomainError(f"{self.kind.value} takes no check_prob")
+        elif self.check_prob is not None:
+            raise ParameterDomainError(f"{self.kind.value} takes no check_prob")
 
     @property
     def label(self) -> str:

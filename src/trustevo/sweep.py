@@ -95,7 +95,10 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         axes = {}
-        for name, values in self.axes:
+        for entry in self.axes if isinstance(self.axes, (tuple, list)) else (self.axes,):
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise ConfigError(f"a sweep axis is a (name, values) pair, got {entry!r}")
+            name, values = entry
             if name not in PARAM_NAMES:
                 raise ConfigError(
                     f"unknown sweep axis {name!r}; valid names: {', '.join(PARAM_NAMES)}"

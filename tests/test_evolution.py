@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import trustevo.evolution as evolution
-from trustevo.errors import NumericalError, ParameterDomainError
+from trustevo.errors import InputError, NumericalError, ParameterDomainError
 from trustevo.evolution import (
     EvolutionParams,
     fermi_probability,
@@ -25,7 +25,7 @@ from trustevo.evolution import (
     stationary_distribution,
 )
 from trustevo.game_model import GameSpec, make_prisoners_dilemma
-from trustevo.metrics import cooperation_report, strategy_pool
+from trustevo.metrics import cooperation_report, pool_cooperation, strategy_pool
 from trustevo.payoffs import payoff_matrix
 from trustevo.strategies import ALLC, ALLD, TFT, tuc, tud
 from trustevo.sweep import PRESETS
@@ -435,6 +435,41 @@ class TestFixationInputs:
         assert fixation(values, 1, 0, self.PARAMS) == expected
 
 
+# Every entry point that takes a payoff table or a chain, called on ``table``.
+TABLE_ENTRY_POINTS = {
+    "fixation_matrix": lambda table: evolution.fixation_matrix(table, DEFAULT_PARAMS),
+    "fixation_probability": lambda table: fixation_probability(table, 1, 0, DEFAULT_PARAMS),
+    "simulate_fixation": lambda table: simulate_fixation(table, 1, 0, DEFAULT_PARAMS, runs=10),
+    "group_payoffs": lambda table: group_payoffs(table, 1, 0, 1, 10),
+    "markov_transition_matrix": lambda table: markov_transition_matrix(table, DEFAULT_PARAMS),
+    "stationary_distribution": stationary_distribution,
+    "pool_cooperation": lambda table: pool_cooperation(table, np.ones(5), DEFAULT_PARAMS),
+}
+SINGLE_TABLE_READERS = ("fixation_probability", "simulate_fixation", "group_payoffs")
+UNIFORM_CHAIN = np.full((5, 5), 0.2)
+
+
+@pytest.mark.parametrize(
+    "entry, table",
+    [
+        *((entry, np.empty((0, 5, 5))) for entry in TABLE_ENTRY_POINTS),
+        *(
+            (entry, (UNIFORM_CHAIN if entry == "stationary_distribution" else DEFAULT_VALUES) + 1j)
+            for entry in TABLE_ENTRY_POINTS
+        ),
+        *((entry, np.stack([DEFAULT_VALUES] * 2)) for entry in SINGLE_TABLE_READERS),
+    ],
+    ids=lambda v: v if isinstance(v, str) else f"{v.dtype}{v.shape}",
+)
+def test_a_table_entry_point_refuses_what_it_cannot_read_as_an_input_error(entry, table):
+    """An empty stack, a complex table and, where one table is read, a stack are refused
+    by the table's own checks, before numpy raises or warns on them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="square|real"):
+            TABLE_ENTRY_POINTS[entry](table)
+
+
 class TestMarkovChain:
     def test_rows_sum_to_one(self):
         matrix = markov_transition_matrix(DEFAULT_VALUES, DEFAULT_PARAMS)
@@ -831,6 +866,14 @@ class TestStationaryDistribution:
     def test_reducible_chain_is_rejected(self):
         with pytest.raises(NumericalError):
             stationary_distribution(np.eye(2))
+
+    def test_a_failed_solve_reports_the_solved_system_condition(self):
+        """Both refusals report ``cond`` of the system the solve was given; a
+        singular one reads inf, without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="; condition estimate inf; "):
+                stationary_distribution(np.eye(2))
 
     def test_rows_must_be_stochastic(self):
         with pytest.raises(ParameterDomainError, match="sum to 1"):

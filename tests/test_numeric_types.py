@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 from trustevo.errors import ConfigError, ParameterDomainError
-from trustevo.evolution import EvolutionParams, fermi_probability
+from trustevo.evolution import (
+    EvolutionParams, fermi_probability, fixation_probability, group_payoffs, simulate_fixation,
+)
 from trustevo.game_model import GameSpec
+from trustevo.match_sim import expected_outcomes, monte_carlo_payoffs
 from trustevo.metrics import cooperation_report, strategy_pool
 from trustevo.payoffs import payoff_matrix
-from trustevo.strategies import tuc
+from trustevo.strategies import ALLD, tuc, tud
 from trustevo.sweep import SweepConfig, run_sweep
 
 KINDS = [np.float16, np.float32, np.float64, np.longdouble, Fraction, np.int64]
@@ -163,3 +166,65 @@ def test_a_numpy_bool_is_refused(call, error, message):
     with pytest.raises(error) as refused:
         call(np.True_)
     assert type(refused.value) is error and str(refused.value) == message
+
+
+INT_KINDS = [np.int64, np.int32, np.uint16]
+TABLE = payoff_matrix(strategy_pool(3, 0.25), GameSpec()).values
+
+
+@pytest.mark.parametrize("kind", INT_KINDS, ids=lambda kind: kind.__name__)
+class TestIntKinds:
+    """Counts and indices take any integral number but a bool, and keep it as an int."""
+
+    def test_population_size(self, kind):
+        params = quietly(EvolutionParams, kind(50), 0.1)
+        assert typed([params.population_size]) == typed([50])
+        assert report_bits(quietly(cooperation_report, GameSpec(), params)) == report_bits(
+            cooperation_report(GameSpec(), EvolutionParams(50, 0.1))
+        )
+
+    def test_trust_threshold(self, kind):
+        assert typed([quietly(tud, kind(4)).trust_threshold]) == typed([4])
+        assert typed([quietly(tuc, kind(4), 0.25).trust_threshold]) == typed([4])
+        report = quietly(cooperation_report, GameSpec(), PARAMS, kind(4))
+        assert report_bits(report) == report_bits(cooperation_report(GameSpec(), PARAMS, 4))
+
+    def test_group_payoffs(self, kind):
+        got = quietly(group_payoffs, TABLE, kind(4), kind(3), kind(2), kind(10))
+        assert [x.hex() for x in got] == [x.hex() for x in group_payoffs(TABLE, 4, 3, 2, 10)]
+
+    def test_fixation_routes(self, kind):
+        params = EvolutionParams(kind(20), 0.1)
+        got = quietly(fixation_probability, TABLE, kind(4), kind(3), params)
+        assert got.hex() == fixation_probability(TABLE, 4, 3, EvolutionParams(20, 0.1)).hex()
+        got = quietly(simulate_fixation, TABLE, kind(4), kind(3), params, kind(500), kind(7))
+        expected = simulate_fixation(TABLE, 4, 3, EvolutionParams(20, 0.1), 500, 7)
+        assert got.hex() == expected.hex()
+
+    def test_match_sim(self, kind):
+        spec = tuc(3, 0.25)
+        got = quietly(monte_carlo_payoffs, spec, ALLD, GameSpec(), samples=kind(5), seed=kind(2))
+        assert typed([got.samples]) == typed([5])
+        assert got == monte_carlo_payoffs(spec, ALLD, GameSpec(), samples=5, seed=2)
+        counts = quietly(expected_outcomes, spec, ALLD, kind(7))
+        assert counts.tobytes() == expected_outcomes(spec, ALLD, 7).tobytes()
+
+
+@pytest.mark.parametrize(
+    "call, name, minimum, value",
+    [
+        (lambda v: EvolutionParams(v, 0.1), "population_size", 2, 50),
+        (lambda v: cooperation_report(GameSpec(), PARAMS, v), "TUC trust_threshold", 1, 4),
+        (lambda v: group_payoffs(TABLE, 4, 3, v, 10), "k", 1, 2),
+        (lambda v: fixation_probability(TABLE, v, 3, PARAMS), "mutant", 0, 4),
+        (lambda v: simulate_fixation(TABLE, 4, 3, PARAMS, runs=v), "runs", 1, 10),
+        (lambda v: monte_carlo_payoffs(tud(3), ALLD, GameSpec(), samples=v), "samples", 1, 5),
+    ],
+    ids=["population", "threshold", "k", "mutant", "runs", "samples"],
+)
+def test_a_count_takes_a_numpy_int_but_not_a_numpy_bool_or_a_fraction(call, name, minimum, value):
+    quietly(call, np.int64(value))
+    for refused in (np.True_, Fraction(value)):
+        with pytest.raises(ParameterDomainError) as error:
+            call(refused)
+        assert str(error.value) == f"{name} must be an integer >= {minimum}, got {refused!r}"

@@ -212,6 +212,21 @@ class TestSweepConfigValidation:
         with pytest.raises(ConfigError, match=f"^{name} holds {re.escape(repr(value))}, which"):
             SweepConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "axes, entry",
+        [
+            ("check_cost", "check_cost"),
+            ((("check_cost",),), ("check_cost",)),
+            ((("check_cost", (0.1,), 1),), ("check_cost", (0.1,), 1)),
+            (None, None),
+        ],
+        ids=["string", "name-only", "three-items", "none"],
+    )
+    def test_an_axes_entry_that_is_not_a_name_and_values_pair_is_refused(self, axes, entry):
+        with pytest.raises(ConfigError) as refused:
+            SweepConfig(axes=axes)
+        assert str(refused.value) == f"a sweep axis is a (name, values) pair, got {entry!r}"
+
     def test_integer_axes_accept_whole_floats(self):
         config = SweepConfig(
             game=make_prisoners_dilemma(), axes=(("trust_threshold", (2.0, 5.0)),)
